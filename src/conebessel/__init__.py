@@ -13,7 +13,7 @@ thread counts before numpy loads.
 
 import importlib
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 _EXPORTS = {
     # errors
@@ -41,7 +41,6 @@ _EXPORTS = {
     "bessel_integral_mc": "bessel",
     "kappa_mu": "bessel",
     "theorem1_gap": "bessel",
-    "gaussian_tail_H": "bessel",
     # convolution and walks
     "RadialLaw": "hypergroup",
     "WalkPath": "hypergroup",
@@ -49,12 +48,10 @@ _EXPORTS = {
     "walk_simulate": "hypergroup",
     # chamber kernel
     "ChamberPoint": "dunkl",
-    "BMultiplicity": "dunkl",
     "bessel_B_mc": "dunkl",
     "hyper_0F0": "dunkl",
     "harish_chandra_exact": "dunkl",
     "exp_conjugation_mc": "dunkl",
-    "corollary_gap": "dunkl",
     # seed discipline
     "substream": "seeds",
     "label_words": "seeds",
@@ -66,8 +63,6 @@ _EXPORTS = {
     "ExperimentReport": "limits",
     "config_hash": "limits",
     "second_moment": "limits",
-    "laplace_transform": "limits",
-    "cone_basis": "limits",
     "wlln_experiment": "limits",
     "slln_experiment": "limits",
     "free_energy_empirical": "limits",

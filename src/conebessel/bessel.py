@@ -31,7 +31,7 @@ from scipy import special
 
 from .errors import ConvergenceError, DimensionError, DomainError
 from .jack import gen_pochhammer, layer_values
-from .linalg import HermitianMatrix, StructureParams, _as_array
+from .linalg import HermitianMatrix, StructureParams, _as_array, _ball_proposal
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_WEIGHT = 30
@@ -148,34 +148,43 @@ def _ball_proposal_weights(mu: float, params: StructureParams, n: int, rng):
     per-real-coordinate variance 1/(2(mu-rho)); at or below rho it falls
     back to the uniform law on the entry-wise box [-1, 1].
     """
-    q, d = params.q, params.d
     expo = mu - params.rho
     dim = params.ambient_dim
-    if expo > 0.0:
-        sd = math.sqrt(1.0 / (2.0 * expo))
-        v = rng.standard_normal((n, q, q)) * sd
-        if d == 2:
-            v = v + 1j * (rng.standard_normal((n, q, q)) * sd)
+    gaussian = expo > 0.0
+    if gaussian:
         log_base = (dim / 2.0) * math.log(math.pi / expo)
-        a = np.linalg.eigvalsh(np.conj(np.swapaxes(v, 1, 2)) @ v)
-        inside = a[:, -1] < 1.0
-        a_in = np.where(inside[:, None], a, 0.0)
-        logw = expo * (np.log1p(-a_in).sum(axis=1) + a_in.sum(axis=1)) + log_base
-        w = np.where(inside, np.exp(logw), 0.0)
     else:
-        v = rng.uniform(-1.0, 1.0, (n, q, q))
-        if d == 2:
-            v = v + 1j * rng.uniform(-1.0, 1.0, (n, q, q))
         log_base = dim * math.log(2.0)
-        a = np.linalg.eigvalsh(np.conj(np.swapaxes(v, 1, 2)) @ v)
-        inside = a[:, -1] < 1.0
-        a_in = np.where(inside[:, None], a, 0.0)
-        with np.errstate(over="ignore"):
-            w = np.where(inside, np.exp(expo * np.log1p(-a_in).sum(axis=1) + log_base), 0.0)
+    v, inside, log_ratio = _ball_proposal(expo, params, rng, n, gaussian)
+    with np.errstate(over="ignore"):
+        w = np.where(inside, np.exp(log_ratio + log_base), 0.0)
     return w, v
 
 
 _MC_CHUNK = 1 << 18
+
+
+def _mc_mean_se(draw, n_samples: int, chunk: int):
+    """Monte Carlo mean and standard error of the values draw(m) returns.
+
+    draw is called on chunks of at most `chunk` samples, in order, until
+    n_samples values are in; the chunking fixes how a caller's random
+    stream is consumed.
+    """
+    if n_samples < 2:
+        raise DomainError("n_samples must be at least 2")
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        vals = draw(m)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)
 
 
 def kappa_mu(params: StructureParams, n_samples: int = 200_000, rng=None):
@@ -196,20 +205,9 @@ def kappa_mu(params: StructureParams, n_samples: int = 200_000, rng=None):
         return value, 0.0
     if rng is None:
         raise DomainError("kappa_mu needs an rng for rank above one")
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        w, _ = _ball_proposal_weights(mu, params, m, rng)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-        done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples)
+    return _mc_mean_se(
+        lambda m: _ball_proposal_weights(mu, params, m, rng)[0], n_samples, _MC_CHUNK
+    )
 
 
 def _integral_mc_parts(mu: float, x: np.ndarray, params: StructureParams, n_samples: int, rng):
@@ -261,41 +259,6 @@ def bessel_integral_mc(mu: float, x, params: StructureParams, n_samples: int, rn
     return r_re, se_re
 
 
-def gaussian_tail_H(x, r: float, params: StructureParams, n_samples: int = 200_000, rng=None):
-    """Gaussian mass outside the spectral ball of radius r, centered at x:
-
-        H(x, r) = integral over {v in M_q : ||v||_spec >= r} of e^{-||v-x||^2} dv.
-
-    Rank one over the reals is exact, (sqrt(pi)/2)(erfc(r-x) + erfc(r+x)),
-    with std_error 0; otherwise a plain Monte Carlo proportion of Gaussian
-    draws (per-real-coordinate variance 1/2) scaled by pi^{dim/2}.
-    """
-    a = np.atleast_2d(_as_array(x))
-    if a.shape != (params.q, params.q):
-        raise DimensionError(f"center must be {params.q} x {params.q}, got {a.shape}")
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
-    if params.q == 1 and params.d == 1:
-        c = float(np.real(a[0, 0]))
-        value = (math.sqrt(math.pi) / 2.0) * (special.erfc(r - c) + special.erfc(r + c))
-        return value, 0.0
-    if rng is None:
-        raise DomainError("gaussian_tail_H needs an rng beyond rank one over the reals")
-    scale = math.pi ** (params.ambient_dim / 2.0)
-    hits = 0
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        g = rng.standard_normal((m, params.q, params.q)) * math.sqrt(0.5)
-        if params.d == 2:
-            g = g + 1j * (rng.standard_normal((m, params.q, params.q)) * math.sqrt(0.5))
-        sv = np.linalg.svd(a[None, :, :] + g, compute_uv=False)
-        hits += int(np.count_nonzero(sv[:, 0] >= r))
-        done += m
-    p = hits / n_samples
-    return scale * p, scale * math.sqrt(p * (1.0 - p) / n_samples)
-
-
 def theorem1_gap(
     mu: float,
     y,
@@ -320,55 +283,3 @@ def theorem1_gap(
     gap = abs(float(vals[0]) - math.exp(-tr))
     envelope = min(1.0, tr * tr) / mu
     return gap, envelope
-
-
-def prop3_envelope(
-    mu: float,
-    x,
-    params: StructureParams,
-    rng=None,
-    c_emp: float | None = None,
-    tol: float = 1e-10,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-):
-    """Empirical sandwich for the growing direction J_mu(-(mu-rho) x^2).
-
-    Returns (lower, value, upper) with
-
-        lower = e^{<x,x>} (1 - c/mu <x,x>^2 - H(x, sqrt(mu-rho)))
-        upper = e^{<x,x>} (1 + c/mu)
-
-    where c is an empirical constant: if not supplied it is calibrated at
-    mu_cal = max(2 rho + 1, mu/4) from the observed deviation there and
-    doubled as a safety margin.  The envelope is a diagnostic, not a
-    certified bound.
-    """
-    a = _as_array(x)
-    eigs = HermitianMatrix(a).eigenvalues()
-    rho = params.rho
-    if mu <= rho:
-        raise DomainError(f"mu={mu} must exceed rho = {rho}")
-    xx = float((eigs * eigs).sum())
-
-    def _value_at(m):
-        v, _ = _series_from_eigs(m, -(m - rho) * (eigs * eigs)[None, :], params, tol, max_weight)
-        return float(v[0])
-
-    def _h_at(m):
-        return gaussian_tail_H(a, math.sqrt(m - rho), params, rng=rng)[0]
-
-    if c_emp is None:
-        mu_cal = max(2.0 * rho + 1.0, mu / 4.0)
-        j_cal = _value_at(mu_cal)
-        h_cal = _h_at(mu_cal)
-        ratio = j_cal * math.exp(-xx)
-        up_c = (ratio - 1.0) * mu_cal
-        low_c = (1.0 - ratio - h_cal) * mu_cal / (xx * xx) if xx > 0 else 0.0
-        c_emp = 2.0 * max(up_c, low_c, 0.1)
-
-    value = _value_at(mu)
-    h = _h_at(mu)
-    base = math.exp(xx)
-    lower = base * (1.0 - (c_emp / mu) * xx * xx - h)
-    upper = base * (1.0 + c_emp / mu)
-    return lower, value, upper

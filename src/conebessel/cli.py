@@ -15,8 +15,7 @@ carries the bound it did achieve).
 Heavy imports happen inside the command handlers so that --threads (or
 the CONEBESSEL_THREADS variable) can pin the BLAS thread count before
 numpy first loads.  When the library is already imported the pin is a
-no-op; replicates are vectorized inside each experiment, and all file
-writes happen single-threaded at the end.
+no-op.  All file writes happen single-threaded at the end.
 """
 
 from __future__ import annotations
@@ -267,14 +266,12 @@ class _Resolved:
         self.grid = grid
         self.hash = config_hash(cfg.as_dict())
 
-    def csv_header_lines(self):
-        return [f"# config_hash={self.hash}", f"# seed={self.cfg.seed}"]
-
     def write_csv(self, name: str, columns: str, rows) -> str:
+        from .limits import csv_text
+
         path = os.path.join(self.cfg.out, f"{name}.csv")
-        lines = self.csv_header_lines() + [columns] + list(rows)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(csv_text(self.hash, self.cfg.seed, columns, rows))
         return path
 
     def write_echo(self, name: str) -> str:
@@ -342,11 +339,7 @@ def _cmd_dunkl(res: _Resolved):
     xi, eta = ChamberPoint(xi_vals), ChamberPoint(eta_vals)
     x2 = xi.array() ** 2
     e2 = eta.array() ** 2
-    kw = {}
-    if cfg.series_tol is not None:
-        kw["tol"] = cfg.series_tol
-    if cfg.max_weight is not None:
-        kw["max_weight"] = cfg.max_weight
+    kw = _series_kwargs(cfg)
     a_limit, _ = hyper_0F0(2.0 / cfg.d, -x2, e2, **kw)
     envelope_scale = min(1.0, float(np.linalg.norm(x2) * np.linalg.norm(e2)) ** 2)
     rows = []
@@ -412,27 +405,25 @@ def _cmd_walk(res: _Resolved):
 
 def _cmd_lln(res: _Resolved):
     """Weak-law tail probabilities along a grid of walk lengths."""
-    from .limits import wlln_experiment
+    from .limits import REPORT_COLUMNS, wlln_experiment
 
     cfg = res.cfg
     k_grid = tuple(int(k) for k in (res.grid or (25.0, 100.0, 400.0)))
     report = wlln_experiment(
         res.law, res.params, res.schedule, k_grid, cfg.replicates, cfg.epsilon, cfg.seed
     )
-    path = os.path.join(cfg.out, "lln.csv")
-    report.write(path)
+    path = res.write_csv("lln", REPORT_COLUMNS, report.csv_rows())
     echo = res.write_echo("lln")
     print(f"wrote {path} ({len(report.rows)} rows) and {echo}")
 
 
 def _cmd_slln(res: _Resolved):
     """One strong-law path per seeded replicate plus schedule diagnostics."""
-    from .limits import slln_experiment
+    from .limits import REPORT_COLUMNS, slln_experiment
 
     cfg = res.cfg
     report = slln_experiment(res.law, res.params, res.schedule, cfg.k_max, cfg.seed)
-    path = os.path.join(cfg.out, "slln.csv")
-    report.write(path)
+    path = res.write_csv("slln", REPORT_COLUMNS, report.csv_rows())
     echo = res.write_echo("slln")
     for diag in report.diagnostics:
         print(f"schedule condition {diag.name}: {diag.verdict}")

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, IllConditionedError
+from .errors import ConvergenceError, DimensionError, DomainError, IllConditionedError
 from .jack import layer_values
-from .bessel import DEFAULT_MAX_WEIGHT, _poisson_tail, _series_from_eigs
-from .errors import ConvergenceError
+from .bessel import DEFAULT_MAX_WEIGHT, _mc_mean_se, _poisson_tail, _series_from_eigs
 from .linalg import StructureParams, _haar_batch
 
 
@@ -58,25 +57,6 @@ class ChamberPoint:
         return ChamberPoint(tuple(c * v for v in self.xi))
 
 
-@dataclass(frozen=True)
-class BMultiplicity:
-    """Multiplicity pair (k1, k2) of a type-B chamber Bessel function."""
-
-    k1: float
-    k2: float
-
-    def __post_init__(self):
-        if self.k1 < 0 or self.k2 not in (0.5, 1.0):
-            raise DomainError(
-                f"need k1 >= 0 and k2 in {{1/2, 1}}, got ({self.k1}, {self.k2})"
-            )
-
-    @classmethod
-    def from_cone_index(cls, params: StructureParams) -> "BMultiplicity":
-        k1 = params.mu - (params.d * (params.q - 1) + 1) / 2.0
-        return cls(k1=k1, k2=params.d / 2.0)
-
-
 def bessel_B_mc(
     xi: ChamberPoint,
     eta: ChamberPoint,
@@ -90,36 +70,26 @@ def bessel_B_mc(
     unitary group of the field, by Haar Monte Carlo.
 
     Returns (value, std_error).  This is the type-B Bessel function at
-    (xi, i eta) with multiplicity BMultiplicity.from_cone_index(params).
+    (xi, i eta) with multiplicity (mu - (d(q-1)+1)/2, d/2).
     """
     if xi.q != params.q or eta.q != params.q:
         raise DimensionError("chamber points must have length q")
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
     if params.mu <= 2.0 * params.rho:
         raise DomainError(
             f"mu={params.mu} must exceed 2 rho = {2.0 * params.rho} for the "
             "integrand series to be reliable"
         )
     xv, ev = xi.array(), eta.array()
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 1 << 14
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
+
+    def draw(m):
         u = _haar_batch(params.q, params.d, rng, m)
         w = (u * (xv * xv)) @ np.conj(np.swapaxes(u, 1, 2))
         arg = 0.25 * ev[None, :, None] * w * ev[None, None, :]
         arg = (arg + np.conj(np.swapaxes(arg, 1, 2))) / 2.0
         eigs = np.linalg.eigvalsh(arg)
-        vals, _ = _series_from_eigs(params.mu, eigs, params, tol, max_weight)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples)
+        return _series_from_eigs(params.mu, eigs, params, tol, max_weight)[0]
+
+    return _mc_mean_se(draw, n_samples, 1 << 14)
 
 
 def hyper_0F0(
@@ -245,52 +215,9 @@ def exp_conjugation_mc(xi2, eta2, d: int, n_samples: int, rng):
     e = np.asarray(eta2, dtype=float).reshape(-1)
     if x.size != e.size:
         raise DimensionError("xi2 and eta2 must have the same length")
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
-    q = x.size
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 1 << 16
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        u = _haar_batch(q, d, rng, m)
-        w = np.abs(u) ** 2
-        vals = np.exp(-np.einsum("i,nij,j->n", e, w, x))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples)
 
+    def draw(m):
+        w = np.abs(_haar_batch(x.size, d, rng, m)) ** 2
+        return np.exp(-np.einsum("i,nij,j->n", e, w, x))
 
-def corollary_gap(
-    mu: float,
-    params: StructureParams,
-    xi: ChamberPoint,
-    eta: ChamberPoint,
-    n_samples: int,
-    rng,
-    tol: float = 1e-9,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-):
-    """Distance of the rescaled type-B value from its type-A limit.
-
-    Computes |bessel_B_mc(2 sqrt(mu) xi, eta) - 0F0^{2/d}(-xi^2, eta^2)|
-    and the envelope min(1, (|xi^2| |eta^2|)^2) / mu.  Returns
-    (gap, envelope); requires mu > 2 rho.  The d = 2 deterministic
-    cross-check of the limit value is harish_chandra_exact.
-    """
-    if mu <= 2.0 * params.rho:
-        raise DomainError(f"mu={mu} must exceed 2 rho = {2.0 * params.rho}")
-    pm = params if params.mu == mu else params.with_mu(mu)
-    b_val, _ = bessel_B_mc(
-        xi.scaled(2.0 * math.sqrt(mu)), eta, pm, n_samples, rng, tol, max_weight
-    )
-    x2 = xi.array() ** 2
-    e2 = eta.array() ** 2
-    a_val, _ = hyper_0F0(pm.alpha, -x2, e2, tol=min(tol, 1e-10), max_weight=max_weight)
-    gap = abs(b_val - a_val)
-    envelope = min(1.0, float(np.linalg.norm(x2) * np.linalg.norm(e2)) ** 2) / mu
-    return gap, envelope
+    return _mc_mean_se(draw, n_samples, 1 << 16)

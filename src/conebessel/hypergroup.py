@@ -20,11 +20,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SamplingError
 from .linalg import (
-    BallMatrix,
     ConeMatrix,
     RectMatrix,
     StructureParams,
-    _as_array,
+    _ball_proposal,
     haar_unitary,
     psd_sqrt,
     phi_p,
@@ -92,7 +91,6 @@ class WalkPath:
 
 def _sample_ball_batch(params: StructureParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws from the ball density, stacked (n, q, q)."""
-    q, d = params.q, params.d
     expo = params.mu - params.rho
     if expo < 0.0:
         raise SamplingError(
@@ -101,28 +99,13 @@ def _sample_ball_batch(params: StructureParams, rng: np.random.Generator, n: int
             "(mu is pathologically close to rho - 1)"
         )
     gaussian = expo >= 1.0
-    sd = np.sqrt(1.0 / (2.0 * expo)) if gaussian else None
-    out = np.empty((n, q, q), dtype=params.dtype)
+    out = np.empty((n, params.q, params.q), dtype=params.dtype)
     filled = 0
     proposals = 0
     while filled < n:
         m = max(n - filled, 16)
-        if gaussian:
-            v = rng.standard_normal((m, q, q)) * sd
-            if d == 2:
-                v = v + 1j * (rng.standard_normal((m, q, q)) * sd)
-        else:
-            v = rng.uniform(-1.0, 1.0, (m, q, q))
-            if d == 2:
-                v = v + 1j * rng.uniform(-1.0, 1.0, (m, q, q))
-        a = np.linalg.eigvalsh(np.conj(np.swapaxes(v, 1, 2)) @ v)
-        inside = a[:, -1] < 1.0 - 1e-13
-        a_in = np.where(inside[:, None], a, 0.0)
-        if gaussian:
-            # target/proposal bound: Delta(I-v*v)^expo * exp(expo <v,v>) <= 1
-            log_acc = expo * (np.log1p(-a_in).sum(axis=1) + a_in.sum(axis=1))
-        else:
-            log_acc = expo * np.log1p(-a_in).sum(axis=1)
+        # for the Gaussian, target/proposal = Delta(I-v*v)^expo * exp(expo <v,v>) <= 1
+        v, inside, log_acc = _ball_proposal(expo, params, rng, m, gaussian, cut=1.0 - 1e-13)
         accept = inside & (np.log(rng.uniform(size=m)) < log_acc)
         take = np.flatnonzero(accept)[: n - filled]
         out[filled : filled + take.size] = v[take]
@@ -134,11 +117,6 @@ def _sample_ball_batch(params: StructureParams, rng: np.random.Generator, n: int
                 f"{proposals} proposals (mu is pathologically close to rho - 1)"
             )
     return out
-
-
-def sample_ball(params: StructureParams, rng: np.random.Generator) -> BallMatrix:
-    """One draw from the normalized ball density Delta(I-v*v)^{mu-rho}."""
-    return BallMatrix(_sample_ball_batch(params, rng, 1)[0])
 
 
 def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> ConeMatrix:
@@ -160,16 +138,6 @@ def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> 
     m = ra @ ra + sa @ sa + sa @ v @ ra + ra @ v.conj().T @ sa
     m = (m + m.conj().T) / 2.0
     return psd_sqrt(ConeMatrix(m))
-
-
-def convolve_expectation(f, r, s, params: StructureParams, n_samples: int, rng):
-    """Monte Carlo mean of f over delta_r * delta_s, with standard error."""
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        vals[i] = f(convolve_sample(r, s, params, rng))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 
 def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng, label: str = "") -> WalkPath:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRankError
 from .hypergroup import RadialLaw, walk_simulate
-from .linalg import ConeMatrix, StructureParams, frob_inner, psd_sqrt
+from .linalg import ConeMatrix, StructureParams, psd_sqrt
 from .seeds import substream
 
 _MU_FAMILIES = ("poly", "pow2")
@@ -202,13 +202,19 @@ class ReportRow:
     seed: int
 
 
-_CSV_HEADER = "experiment,k,mu,n,replicates,statistic,value,stderr,seed"
+REPORT_COLUMNS = "experiment,k,mu,n,replicates,statistic,value,stderr,seed"
 
 
 def config_hash(config: dict) -> str:
     """Stable 16-hex-digit digest of a JSON-serializable config."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def csv_text(config_digest: str, seed: int, columns: str, rows) -> str:
+    """A run's CSV: config hash and master seed lines, column header, rows."""
+    lines = [f"# config_hash={config_digest}", f"# seed={seed}", columns, *rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -220,22 +226,18 @@ class ExperimentReport:
     config: dict = field(default_factory=dict)
     diagnostics: tuple = ()
 
-    def to_csv(self) -> str:
-        lines = [
-            f"# config_hash={config_hash(self.config)}",
-            f"# seed={self.master_seed}",
-            _CSV_HEADER,
+    def csv_rows(self) -> list:
+        """One CSV line per row, in REPORT_COLUMNS order."""
+        return [
+            f"{r.experiment},{r.k},{r.mu:.17g},{r.n},{r.replicates},"
+            f"{r.statistic},{r.value:.17g},{r.stderr:.17g},{r.seed}"
+            for r in self.rows
         ]
-        for r in self.rows:
-            lines.append(
-                f"{r.experiment},{r.k},{r.mu:.17g},{r.n},{r.replicates},"
-                f"{r.statistic},{r.value:.17g},{r.stderr:.17g},{r.seed}"
-            )
-        return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+    def to_csv(self) -> str:
+        return csv_text(
+            config_hash(self.config), self.master_seed, REPORT_COLUMNS, self.csv_rows()
+        )
 
 
 def second_moment(nu: RadialLaw) -> ConeMatrix:
@@ -245,49 +247,6 @@ def second_moment(nu: RadialLaw) -> ConeMatrix:
     for w, atom in zip(nu.weights, nu.atoms):
         total = total + w * (atom.array @ atom.array)
     return ConeMatrix(total)
-
-
-def laplace_transform(nu_or_sample, x) -> float:
-    """Mean of exp(-<x, y>) over the measure (exact atomic sum for a
-    RadialLaw, sample mean for an iterable of cone points)."""
-    xa = x.array if hasattr(x, "array") else np.asarray(x)
-    if isinstance(nu_or_sample, RadialLaw):
-        pairs = zip(nu_or_sample.weights, nu_or_sample.atoms)
-        return float(
-            sum(w * math.exp(-frob_inner(xa, a.array)) for w, a in pairs)
-        )
-    vals = [
-        math.exp(-frob_inner(xa, y.array if hasattr(y, "array") else y))
-        for y in nu_or_sample
-    ]
-    if not vals:
-        raise DomainError("empirical sample must be nonempty")
-    return float(np.mean(vals))
-
-
-def cone_basis(params: StructureParams):
-    """Basis of the Hermitian matrices consisting of cone points: the q
-    diagonal units, and for each pair i < j the identity plus half of a
-    (real, and for d = 2 also imaginary) elementary symmetric off-diagonal
-    unit.  Diagonal dominance keeps every element positive semidefinite.
-    Returns q + d*q*(q-1)/2 matrices.
-    """
-    q = params.q
-    dt = params.dtype
-    out = []
-    for i in range(q):
-        m = np.zeros((q, q), dtype=dt)
-        m[i, i] = 1.0
-        out.append(ConeMatrix(m))
-    units = [1.0] if params.d == 1 else [1.0, 1.0j]
-    for i in range(q):
-        for j in range(i + 1, q):
-            for l in units:
-                m = np.eye(q, dtype=dt)
-                m[i, j] += 0.5 * l
-                m[j, i] += 0.5 * np.conj(l)
-                out.append(ConeMatrix(m))
-    return out
 
 
 def _walk_deviation(nu, params, n_steps, target, rng) -> float:

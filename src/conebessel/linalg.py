@@ -5,11 +5,12 @@ drivers) goes through the small set of primitives defined here, so the
 numerical policy is in one place: Hermiticity is enforced to 1e-12
 relative, positive semidefiniteness to 1e-10 relative with eigenvalue
 clamping at construction, and eigendecomposition is the single primitive
-used for square roots, determinant powers and ball membership.
+used for square roots and ball membership.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .errors import DimensionError, DomainError
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
-BALL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class StructureParams:
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, (HermitianMatrix, RectMatrix, BallMatrix)):
+    if isinstance(x, (HermitianMatrix, RectMatrix)):
         return x.array
     return np.asarray(x)
 
@@ -199,40 +199,6 @@ class RectMatrix:
         return f"RectMatrix(p={self.p}, q={self.q})"
 
 
-class BallMatrix:
-    """q x q matrix with spectral norm strictly below one.
-
-    Membership is checked through the largest eigenvalue of v* v, which
-    must stay below 1 - 1e-14.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array):
-        a = np.asarray(_as_array(array))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        top = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
-        if not top < 1.0 - BALL_TOL:
-            raise DomainError(
-                f"matrix is not inside the open spectral unit ball: "
-                f"max eig of v*v = {top!r}"
-            )
-        object.__setattr__(self, "array", a.copy())
-
-    @property
-    def q(self) -> int:
-        return self.array.shape[0]
-
-
-def frob_inner(x, y) -> float:
-    """Real Frobenius inner product Re tr(x* y)."""
-    a, b = _as_array(x), _as_array(y)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.real(np.sum(a.conj() * b)))
-
-
 def psd_sqrt(a) -> ConeMatrix:
     """Unique PSD square root of a PSD matrix."""
     if isinstance(a, ConeMatrix):
@@ -248,30 +214,6 @@ def phi_p(x) -> ConeMatrix:
         raise DimensionError(f"expected a 2-d array, got shape {a.shape}")
     g = a.conj().T @ a
     return psd_sqrt((g + g.conj().T) / 2.0)
-
-
-def delta_power(x, power: float) -> float:
-    """det(x)^power through the eigenvalues, for Hermitian x.
-
-    For non-integer power the spectrum must be strictly positive.
-    """
-    a = _as_array(x)
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    if float(power) == int(power):
-        return float(np.prod(w ** int(power)))
-    if w[0] <= 0.0:
-        raise DomainError(
-            f"det^power with non-integer power {power} needs a positive "
-            f"definite argument; min eigenvalue {w[0]:.3e}"
-        )
-    return float(np.exp(power * np.sum(np.log(w))))
-
-
-def spectral_decomp(a):
-    """Eigenvalues (descending) and a unitary of eigenvectors, a = u diag(w) u*."""
-    h = _as_array(a)
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def haar_unitary(p: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -300,32 +242,33 @@ def _haar_batch(p: int, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
     return q * phase[:, None, :]
 
 
-def matrix_to_json(x) -> list:
-    """Row-major nested lists; complex entries become [re, im] pairs."""
-    a = _as_array(x)
-    if np.iscomplexobj(a):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-    return [[float(v) for v in row] for row in a]
+def _ball_proposal(
+    expo: float, params: StructureParams, rng, m: int, gaussian: bool, cut: float = 1.0
+):
+    """m proposals for the ball density Delta(I - v*v)^expo, stacked (m, q, q).
 
-
-def matrix_from_json(data, d: int) -> np.ndarray:
-    """Inverse of matrix_to_json; d picks the field the entries live in."""
-    rows = []
-    for row in data:
-        vals = []
-        for v in row:
-            if d == 2:
-                if not (isinstance(v, (list, tuple)) and len(v) == 2):
-                    raise DomainError(
-                        "complex matrix entries must be [re, im] pairs"
-                    )
-                vals.append(complex(float(v[0]), float(v[1])))
-            else:
-                if isinstance(v, (list, tuple)):
-                    raise DomainError("real matrix entries must be plain numbers")
-                vals.append(float(v))
-        rows.append(vals)
-    a = np.asarray(rows, dtype=np.complex128 if d == 2 else np.float64)
-    if a.ndim != 2:
-        raise DimensionError("matrix JSON must be a list of equal-length rows")
-    return a
+    The proposal is Gaussian with per-real-coordinate variance 1/(2 expo)
+    when `gaussian`, else uniform on the entry-wise box [-1, 1]; over the
+    complex field the imaginary parts are drawn after the real parts.
+    Returns (v, inside, log_ratio): `inside` marks draws whose v*v has top
+    eigenvalue below `cut`, and log_ratio is expo * (sum log(1 - a)
+    [+ sum a for the Gaussian]) over the eigenvalues a of v*v, the log of
+    target over proposal density up to a constant (zero outside).
+    """
+    q = params.q
+    if gaussian:
+        sd = math.sqrt(1.0 / (2.0 * expo))
+        v = rng.standard_normal((m, q, q)) * sd
+        if params.d == 2:
+            v = v + 1j * (rng.standard_normal((m, q, q)) * sd)
+    else:
+        v = rng.uniform(-1.0, 1.0, (m, q, q))
+        if params.d == 2:
+            v = v + 1j * rng.uniform(-1.0, 1.0, (m, q, q))
+    a = np.linalg.eigvalsh(np.conj(np.swapaxes(v, 1, 2)) @ v)
+    inside = a[:, -1] < cut
+    a_in = np.where(inside[:, None], a, 0.0)
+    log_ratio = np.log1p(-a_in).sum(axis=1)
+    if gaussian:
+        log_ratio = log_ratio + a_in.sum(axis=1)
+    return v, inside, expo * log_ratio

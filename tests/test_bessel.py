@@ -1,7 +1,7 @@
-"""Matrix-argument Bessel series, its integral form, and the envelopes.
+"""Matrix-argument Bessel series, its integral form, and the kernel gap.
 
 Scalar oracles: scipy.special.hyp0f1 for the rank-one series, quadrature
-for the ball-density normalizer and the Gaussian tail mass.
+for the ball-density normalizer.
 """
 
 import math
@@ -15,9 +15,7 @@ from conebessel.bessel import (
     bessel_classical,
     bessel_integral_mc,
     bessel_series,
-    gaussian_tail_H,
     kappa_mu,
-    prop3_envelope,
     theorem1_gap,
 )
 from conebessel.errors import ConvergenceError, DimensionError, DomainError
@@ -138,47 +136,6 @@ def test_integral_mc_guards():
         bessel_integral_mc(3.0, np.eye(1), params, 1, rng)
 
 
-# ------------------------------------------------------------- gaussian tail
-
-
-def test_gaussian_tail_rank_one_real_closed_form():
-    params = StructureParams(q=1, d=1, mu=2.0)
-    for x0, r in ((0.0, 1.0), (0.7, 0.5), (1.2, 2.0)):
-        got, se = gaussian_tail_H(np.array([[x0]]), r, params)
-        want = (math.sqrt(math.pi) / 2.0) * (
-            special.erfc(r - x0) + special.erfc(r + x0)
-        )
-        assert se == 0.0
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_gaussian_tail_rank_one_complex_against_quadrature():
-    # polar oracle: 2 pi int_r^inf rho e^{-(rho-x)^2} i0e(2 rho x) drho
-    params = StructureParams(q=1, d=2, mu=3.0)
-    x0, r = 0.4, 1.5
-    want, _ = integrate.quad(
-        lambda p: 2.0 * math.pi * p * math.exp(-((p - x0) ** 2)) * special.i0e(2.0 * p * x0),
-        r,
-        r + 12.0,
-    )
-    got, se = gaussian_tail_H(
-        np.array([[x0 + 0.0j]]), r, params, n_samples=200_000, rng=substream(3, "h", 0)
-    )
-    assert abs(got - want) <= 5.0 * se + 1e-3
-
-
-def test_gaussian_tail_total_mass_and_guards():
-    params = StructureParams(q=1, d=2, mu=3.0)
-    got, _ = gaussian_tail_H(np.zeros((1, 1)), 0.0, params, n_samples=100, rng=substream(3, "h", 1))
-    assert got == pytest.approx(math.pi)  # r=0 keeps everything
-    with pytest.raises(DomainError):
-        gaussian_tail_H(np.zeros((1, 1)), -1.0, params, rng=substream(3, "h", 2))
-    with pytest.raises(DomainError):
-        gaussian_tail_H(np.zeros((1, 1)), 1.0, params)  # rng required beyond q=1,d=1
-    with pytest.raises(DimensionError):
-        gaussian_tail_H(np.zeros((2, 2)), 1.0, StructureParams(q=1, d=1, mu=2.0))
-
-
 # ---------------------------------------------------------------- envelopes
 
 
@@ -197,21 +154,6 @@ def test_theorem_gap_guards():
         theorem1_gap(3.0, np.array([[1.0]]), params)  # needs mu > 2 rho
     with pytest.raises(DomainError):
         theorem1_gap(10.0, np.array([[-1.0]]), params)
-
-
-def test_prop3_envelope_sandwiches_the_value():
-    params = StructureParams(q=1, d=1, mu=40.0)
-    lower, value, upper = prop3_envelope(40.0, np.array([[0.5]]), params)
-    assert lower <= value <= upper
-    assert upper >= math.exp(0.25) > 0.0
-    with pytest.raises(DomainError):
-        prop3_envelope(1.0, np.array([[0.5]]), params)
-
-
-def test_prop3_envelope_with_explicit_constant():
-    params = StructureParams(q=1, d=1, mu=60.0)
-    lower, value, upper = prop3_envelope(60.0, np.array([[0.4]]), params, c_emp=25.0)
-    assert lower <= value <= upper
 
 
 # ------------------------------------------------------------- poisson tail

@@ -137,6 +137,30 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert (tmp_path / "bessel_config.json").read_bytes() == echo1
 
 
+_SMALL_RUNS = (
+    ("bessel", "--mu", "3", "--grid", "0.5", "--n-samples", "100"),
+    ("dunkl", "--grid", "8", "--n-samples", "10"),
+    ("walk", "--mu", "3", "--replicates", "2", "--steps", "2"),
+    ("lln", "--grid", "2", "--replicates", "2"),
+    ("slln", "--k-max", "3"),
+    ("ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--k-max", "3",
+     "--replicates", "4", "--t-values", "0", "--grid", "0.5"),
+)
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda a: a[0])
+def test_csv_header_carries_the_echo_hash(tmp_path, argv):
+    from conebessel.limits import config_hash
+
+    rc = cli.main([*argv, "--q", "1", "--d", "1", "--seed", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    name = argv[0]
+    lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+    echo = json.loads((tmp_path / f"{name}_config.json").read_text())
+    assert lines[0] == f"# config_hash={config_hash(echo)}"
+    assert lines[1] == "# seed=3"
+
+
 # --------------------------------------------------------------- exit codes
 
 

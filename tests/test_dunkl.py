@@ -7,10 +7,8 @@ import pytest
 
 from conebessel.bessel import bessel_series
 from conebessel.dunkl import (
-    BMultiplicity,
     ChamberPoint,
     bessel_B_mc,
-    corollary_gap,
     exp_conjugation_mc,
     harish_chandra_exact,
     hyper_0F0,
@@ -37,17 +35,6 @@ def test_chamber_point_validation():
         ChamberPoint(())
     with pytest.raises(DomainError):
         p.scaled(-1.0)
-
-
-def test_multiplicity_from_cone_index():
-    k = BMultiplicity.from_cone_index(StructureParams(q=2, d=2, mu=6.0))
-    assert (k.k1, k.k2) == (6.0 - 1.5, 1.0)
-    k = BMultiplicity.from_cone_index(StructureParams(q=3, d=1, mu=4.0))
-    assert (k.k1, k.k2) == (4.0 - 1.5, 0.5)
-    with pytest.raises(DomainError):
-        BMultiplicity(k1=-0.1, k2=0.5)
-    with pytest.raises(DomainError):
-        BMultiplicity(k1=1.0, k2=0.75)
 
 
 def test_hyper_0f0_rank_one_is_exponential():
@@ -148,17 +135,3 @@ def test_chamber_average_guards():
     with pytest.raises(DomainError):
         # mu must exceed 2 rho for the integrand series
         bessel_B_mc(xi, eta, StructureParams(q=1, d=1, mu=2.0), 10, substream(22, "b", 3))
-
-
-def test_corollary_gap_rank_one_reduces_to_kernel_gap():
-    from conebessel.bessel import theorem1_gap
-
-    params = StructureParams(q=1, d=1, mu=24.0)
-    xi, eta = ChamberPoint((0.9,)), ChamberPoint((0.6,))
-    z = 0.9**2 * 0.6**2
-    gap, env = corollary_gap(24.0, params, xi, eta, 50, substream(23, "cg", 0))
-    want_gap, want_env = theorem1_gap(24.0, np.array([[z]]), params)
-    assert gap == pytest.approx(want_gap, abs=5e-9)
-    assert env == pytest.approx(want_env, rel=1e-12)
-    with pytest.raises(DomainError):
-        corollary_gap(2.0, params, xi, eta, 10, substream(23, "cg", 1))

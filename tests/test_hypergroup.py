@@ -10,14 +10,13 @@ from conebessel.errors import DimensionError, DomainError, SamplingError
 from conebessel.hypergroup import (
     RadialLaw,
     WalkPath,
-    convolve_expectation,
+    _sample_ball_batch,
     convolve_sample,
     orbit_walk_simulate,
     radial_matrix_sample,
-    sample_ball,
     walk_simulate,
 )
-from conebessel.linalg import BallMatrix, ConeMatrix, StructureParams, phi_p
+from conebessel.linalg import ConeMatrix, StructureParams, phi_p
 from conebessel.seeds import substream
 
 
@@ -151,32 +150,18 @@ def test_radial_matrix_sample_has_prescribed_radial_part():
 
 
 def test_sample_ball_stays_in_ball():
-    params = StructureParams(q=2, d=2, mu=6.0)
-    rng = substream(17, "ball", 0)
-    for _ in range(10):
-        v = sample_ball(params, rng)
-        assert isinstance(v, BallMatrix)
-        top = np.linalg.svd(v.array, compute_uv=False)[0]
-        assert top < 1.0
+    for mu in (6.0, 4.5):  # Gaussian and box proposals (rho = 4)
+        params = StructureParams(q=2, d=2, mu=mu)
+        v = _sample_ball_batch(params, substream(17, "ball", 0), 10)
+        assert v.shape == (10, 2, 2) and v.dtype == np.complex128
+        assert np.all(np.linalg.svd(v, compute_uv=False)[:, 0] < 1.0)
 
 
 def test_sampler_refuses_unbounded_density():
     # mu - rho < 0 makes the density blow up at the boundary
     params = StructureParams(q=1, d=1, mu=0.6)
     with pytest.raises(SamplingError):
-        sample_ball(params, substream(17, "ball", 1))
+        _sample_ball_batch(params, substream(17, "ball", 1), 1)
     r = ConeMatrix(np.eye(1))
     with pytest.raises(SamplingError):
         convolve_sample(r, r, params, substream(17, "ball", 2))
-
-
-def test_convolve_expectation_runs_and_guards():
-    params = StructureParams(q=1, d=1, mu=3.0)
-    r = ConeMatrix(np.eye(1))
-    mean, se = convolve_expectation(
-        lambda m: float(m.eigs[0]), r, r, params, 400, substream(18, "exp", 0)
-    )
-    assert se > 0.0
-    assert 1.0 <= mean <= 2.0  # spectral norm between |r-s| and r+s
-    with pytest.raises(DomainError):
-        convolve_expectation(lambda m: 0.0, r, r, params, 1, substream(18, "exp", 1))

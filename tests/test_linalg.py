@@ -1,23 +1,17 @@
-"""Matrix primitives: construction guards, decompositions, serialization."""
+"""Matrix primitives: construction guards, square roots, Haar sampling."""
 
 import numpy as np
 import pytest
 
 from conebessel.errors import DimensionError, DomainError
 from conebessel.linalg import (
-    BallMatrix,
     ConeMatrix,
     HermitianMatrix,
     RectMatrix,
     StructureParams,
-    delta_power,
-    frob_inner,
     haar_unitary,
-    matrix_from_json,
-    matrix_to_json,
     phi_p,
     psd_sqrt,
-    spectral_decomp,
 )
 
 
@@ -85,25 +79,13 @@ def test_cone_matrix_clamps_tiny_negative_eigenvalues():
     assert c.norm() == pytest.approx(np.linalg.norm(c.array))
 
 
-def test_rect_and_ball_matrices():
+def test_rect_matrix_guards():
     r = RectMatrix(np.ones((3, 2)))
     assert (r.p, r.q) == (3, 2)
     with pytest.raises(DomainError):
         RectMatrix(np.array([[np.nan]]))
-    BallMatrix(0.9 * np.eye(2))
-    with pytest.raises(DomainError):
-        BallMatrix(np.eye(2))
     with pytest.raises(DimensionError):
-        BallMatrix(np.ones((2, 3)))
-
-
-def test_frob_inner_matches_trace_formula():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert frob_inner(a, b) == pytest.approx(float(np.real(np.trace(a.conj().T @ b))))
-    with pytest.raises(DimensionError):
-        frob_inner(np.eye(2), np.eye(3))
+        RectMatrix(np.ones(3))
 
 
 def test_psd_sqrt_squares_back():
@@ -124,25 +106,6 @@ def test_phi_p_is_radial_part():
     u = haar_unitary(5, 1, rng)
     r2 = phi_p(u @ a)
     assert np.allclose(r2.array, r.array, atol=1e-10)
-
-
-def test_delta_power():
-    a = np.diag([2.0, 3.0])
-    assert delta_power(a, 2) == pytest.approx(36.0)
-    assert delta_power(a, 0.5) == pytest.approx(np.sqrt(6.0))
-    # integer powers are fine on indefinite matrices
-    assert delta_power(np.diag([2.0, -3.0]), 2) == pytest.approx(36.0)
-    with pytest.raises(DomainError):
-        delta_power(np.diag([1.0, 0.0]), 0.5)
-
-
-def test_spectral_decomp_reconstructs():
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((4, 4))
-    a = (g + g.T) / 2.0
-    w, v = spectral_decomp(a)
-    assert np.all(np.diff(w) <= 1e-12)
-    assert np.allclose((v * w) @ v.conj().T, a, atol=1e-10)
 
 
 @pytest.mark.parametrize("d", (1, 2))
@@ -166,15 +129,3 @@ def test_haar_first_entry_moment():
     n, p = 4000, 3
     vals = np.array([abs(haar_unitary(p, 2, rng)[0, 0]) ** 2 for _ in range(n)])
     assert vals.mean() == pytest.approx(1.0 / p, abs=5 * vals.std() / np.sqrt(n))
-
-
-def test_matrix_json_round_trip():
-    a = np.array([[1.0, 2.5], [2.5, -3.0]])
-    assert np.array_equal(matrix_from_json(matrix_to_json(a), 1), a)
-    c = np.array([[1.0 + 2.0j, 0.0], [0.0, 1.0 - 1.0j]])
-    back = matrix_from_json(matrix_to_json(c), 2)
-    assert np.array_equal(back, c)
-    with pytest.raises(DomainError):
-        matrix_from_json([[1.0]], 2)  # complex field wants [re, im] pairs
-    with pytest.raises(DomainError):
-        matrix_from_json([[[1.0, 0.0]]], 1)
