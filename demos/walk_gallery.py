@@ -18,7 +18,7 @@ for mu in (3.0, 12.0, 200.0):
     path = walk_simulate(law, params, STEPS, substream(2026, f"gallery:{mu}", 0))
     print(f"index mu = {mu}")
     for k in (1, 2, 4, 8, 12):
-        eigs = path.steps[k].eigs / np.sqrt(k)
+        eigs = path[k].eigs / np.sqrt(k)
         formatted = ", ".join(f"{e:6.3f}" for e in eigs)
         print(f"  k = {k:2d}   S_k/sqrt(k) eigenvalues: {formatted}")
     print()

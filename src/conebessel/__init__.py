@@ -43,7 +43,6 @@ _EXPORTS = {
     "theorem1_gap": "bessel",
     # convolution and walks
     "RadialLaw": "hypergroup",
-    "WalkPath": "hypergroup",
     "convolve_sample": "hypergroup",
     "walk_simulate": "hypergroup",
     # chamber kernel

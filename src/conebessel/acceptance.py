@@ -305,7 +305,7 @@ def orbit_projection_consistency():
     rng = substream(107, "walk")
     a2 = np.empty(n)
     for i in range(n):
-        a2[i] = walk_simulate(law, params, 2, rng).last().array[0, 0]
+        a2[i] = walk_simulate(law, params, 2, rng)[-1].array[0, 0]
     g = substream(107, "sphere-2").standard_normal((n, 2, p))
     z = g / np.linalg.norm(g, axis=2, keepdims=True)
     b2 = np.linalg.norm(z.sum(axis=1), axis=1)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError, DimensionError, DomainError
+from .errors import ConvergenceError, DimensionError, DomainError, SamplingError
 from .jack import gen_pochhammer, layer_values
 from .linalg import HermitianMatrix, StructureParams, _as_array, _ball_proposal
 
@@ -81,6 +81,10 @@ def _series_from_eigs(
         poch = np.array([gen_pochhammer(mu, lam, params.alpha) for lam in parts])
         layer = (vals / poch[:, None]).sum(axis=0)
         total += sign * inv_fact * layer
+        if not np.all(np.isfinite(total)):
+            raise ConvergenceError(
+                f"Bessel series partial sum is not finite at weight {k}", achieved_bound=math.inf
+            )
         tail = poch_floor * _poisson_tail(k, s)
         if np.max(tail) <= tol:
             return total, tail
@@ -205,8 +209,18 @@ def kappa_mu(params: StructureParams, n_samples: int = 200_000, rng=None):
         return value, 0.0
     if rng is None:
         raise DomainError("kappa_mu needs an rng for rank above one")
-    return _mc_mean_se(
+    value, se = _mc_mean_se(
         lambda m: _ball_proposal_weights(mu, params, m, rng)[0], n_samples, _MC_CHUNK
+    )
+    if value == 0.0:
+        raise _no_weight(params, mu, n_samples)
+    return value, se
+
+
+def _no_weight(params: StructureParams, mu: float, n_samples: int) -> SamplingError:
+    return SamplingError(
+        f"none of {n_samples} ball proposals fell inside the unit ball at q={params.q}, "
+        f"d={params.d}, mu={mu:.6g}: the importance weight is zero"
     )
 
 
@@ -227,6 +241,8 @@ def _integral_mc_parts(mu: float, x: np.ndarray, params: StructureParams, n_samp
         sums += rows.sum(axis=1)
         sq += rows @ rows.T
         done += m
+    if sums[0] == 0.0:
+        raise _no_weight(params, mu, n_samples)
     n = n_samples
     mean = sums / n
     cov = sq / n - np.outer(mean, mean)

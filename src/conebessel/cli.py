@@ -141,34 +141,37 @@ def load_config_file(path) -> RunConfig:
     return RunConfig.from_dict(data, path=path, raw_text=raw)
 
 
+def _parse_floats(value, what: str) -> tuple:
+    """A comma list (blank entries skipped) or a JSON array as a tuple of
+    floats; anything that is not a number is a ConfigError."""
+    if isinstance(value, (list, tuple)):
+        items = value
+    else:
+        items = [p for p in str(value).split(",") if p.strip() != ""]
+    try:
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {what} {value!r}: entries must be numbers") from exc
+
+
 def parse_grid(text):
     """Accept "start:stop:step" (stop inclusive up to rounding) or a comma list."""
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    s = str(text).strip()
-    if ":" in s:
-        pieces = s.split(":")
-        if len(pieces) != 3:
-            raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in pieces)
-        if step <= 0 or stop < start:
-            raise ConfigError(f"empty grid range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
-    try:
-        return tuple(float(p) for p in s.split(",") if p.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse grid {text!r}") from exc
+    if isinstance(text, (list, tuple)) or ":" not in str(text):
+        return _parse_floats(text, "grid")
+    pieces = str(text).strip().split(":")
+    if len(pieces) != 3:
+        raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
+    start, stop, step = _parse_floats(pieces, "grid range")
+    if step <= 0 or stop < start:
+        raise ConfigError(f"empty grid range {text!r}")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(start + i * step for i in range(count))
 
 
 def _parse_atoms(text):
     """Atom list flag: diagonals separated by ';', entries by ','."""
-    out = []
-    for chunk in str(text).split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(tuple(float(p) for p in chunk.split(",")))
-    return tuple(out)
+    chunks = (c for c in str(text).split(";") if c.strip())
+    return tuple(_parse_floats(c, "atom diagonal") for c in chunks)
 
 
 def _apply_threads(flag_value):
@@ -200,14 +203,12 @@ def _merge_flags(cfg: RunConfig, args) -> RunConfig:
             updates[key] = val
     if getattr(args, "grid", None) is not None:
         updates["grid"] = parse_grid(args.grid)
-    if getattr(args, "weights", None) is not None:
-        updates["weights"] = tuple(float(p) for p in str(args.weights).split(","))
     if getattr(args, "atoms", None) is not None:
         updates["atoms"] = _parse_atoms(args.atoms)
-    for key in ("xi", "eta", "t_values"):
+    for key in ("weights", "xi", "eta", "t_values"):
         val = getattr(args, key, None)
         if val is not None:
-            updates[key] = tuple(float(p) for p in str(val).split(","))
+            updates[key] = _parse_floats(val, key)
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
     return cfg
@@ -229,6 +230,8 @@ class _Resolved:
                 f"{command!r} subcommand was invoked"
             )
         cfg = dataclasses.replace(cfg, experiment=command)
+        for key in ("weights", "xi", "eta", "t_values"):
+            _parse_floats(getattr(cfg, key), key)
 
         self.schedule = Schedule(**{k: getattr(cfg, k) for k in _SCHEDULE_KEYS})
         if command in ("lln", "slln", "ldp"):
@@ -258,7 +261,7 @@ class _Resolved:
                     raise ConfigError(
                         f"atom diagonal {list(entries)} needs exactly q={cfg.q} entries"
                     )
-                atoms.append(ConeMatrix(np.diag([float(e) for e in entries])))
+                atoms.append(ConeMatrix(np.diag(_parse_floats(entries, "atom diagonal"))))
             self.law = RadialLaw(weights=cfg.weights, atoms=tuple(atoms))
 
         cfg = dataclasses.replace(cfg, grid=grid, mu=float(mu0))
@@ -381,14 +384,8 @@ def _cmd_walk(res: _Resolved):
             coord_cols += [f"x_{i + 1}{j + 1}_re", f"x_{i + 1}{j + 1}_im"]
     rows = []
     for rep in range(cfg.replicates):
-        path_obj = walk_simulate(
-            res.law,
-            res.params,
-            cfg.steps,
-            substream(cfg.seed, "walk", rep),
-            label=f"walk:{rep}",
-        )
-        for step, point in enumerate(path_obj.steps):
+        states = walk_simulate(res.law, res.params, cfg.steps, substream(cfg.seed, "walk", rep))
+        for step, point in enumerate(states):
             a = point.array
             vals = []
             for i, j in pairs:

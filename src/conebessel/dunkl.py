@@ -131,6 +131,10 @@ def hyper_0F0(
         _, ve = layer_values(alpha, q, k, e[None, :])
         _, v1 = layer_values(alpha, q, k, ones)
         total += inv_fact * float((vx[:, 0] * ve[:, 0] / v1[:, 0]).sum())
+        if not math.isfinite(total):
+            raise ConvergenceError(
+                f"0F0 partial sum is not finite at weight {k}", achieved_bound=math.inf
+            )
         tail = float(_poisson_tail(k, np.asarray([s]))[0])
         if tail <= tol:
             return total, tail

@@ -67,28 +67,6 @@ class RadialLaw:
         return int(rng.choice(len(self.atoms), p=self.weights))
 
 
-@dataclass(frozen=True)
-class WalkPath:
-    """Trajectory of a cone random walk; steps[0] is the zero matrix."""
-
-    params: StructureParams
-    steps: tuple
-    label: str = ""
-
-    def __post_init__(self):
-        steps = tuple(s if isinstance(s, ConeMatrix) else ConeMatrix(s) for s in self.steps)
-        if not steps or not steps[0].is_zero():
-            raise DomainError("a walk must start at the zero matrix")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps) - 1
-
-    def last(self) -> ConeMatrix:
-        return self.steps[-1]
-
-
 def _sample_ball_batch(params: StructureParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws from the ball density, stacked (n, q, q)."""
     expo = params.mu - params.rho
@@ -137,23 +115,29 @@ def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> 
     ra, sa = rm.array, sm.array
     m = ra @ ra + sa @ sa + sa @ v @ ra + ra @ v.conj().T @ sa
     m = (m + m.conj().T) / 2.0
-    return psd_sqrt(ConeMatrix(m))
+    # exactly Hermitian, and PSD up to rounding as (r + v*s)*(r + v*s)
+    # + s(I - vv*)s with |v| < 1: only finiteness is left to check
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite")
+    return psd_sqrt(ConeMatrix._unchecked(m))
 
 
-def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng, label: str = "") -> WalkPath:
-    """Random walk started at zero: each step convolves with a fresh atom of nu."""
+def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng) -> tuple:
+    """Random walk started at zero: each step convolves with a fresh atom of nu.
+
+    Returns the states S_0 = 0, S_1, ..., S_n as a tuple of ConeMatrix.
+    """
     if nu.q != params.q:
         raise DimensionError("law rank does not match params")
     if n_steps < 0:
         raise DomainError("n_steps must be nonnegative")
-    zero = ConeMatrix(np.zeros((params.q, params.q), dtype=params.dtype))
-    steps = [zero]
-    current = zero
+    current = ConeMatrix(np.zeros((params.q, params.q), dtype=params.dtype))
+    steps = [current]
     for _ in range(n_steps):
         atom = nu.atoms[nu.sample_index(rng)]
         current = convolve_sample(current, atom, params, rng)
         steps.append(current)
-    return WalkPath(params=params, steps=tuple(steps), label=label)
+    return tuple(steps)
 
 
 def radial_matrix_sample(nu: RadialLaw, p: int, params: StructureParams, rng) -> RectMatrix:
@@ -167,17 +151,17 @@ def radial_matrix_sample(nu: RadialLaw, p: int, params: StructureParams, rng) ->
     return RectMatrix(u @ iota)
 
 
-def orbit_walk_simulate(nu: RadialLaw, p: int, params: StructureParams, n_steps: int, rng, label: str = "") -> WalkPath:
+def orbit_walk_simulate(nu: RadialLaw, p: int, params: StructureParams, n_steps: int, rng) -> tuple:
     """Radial parts of partial sums of independent rotated-frame matrices.
 
-    For mu = p d / 2 this has the same law, step by step, as walk_simulate.
+    For mu = p d / 2 this has the same law, step by step, as walk_simulate,
+    and is returned the same way: a tuple of ConeMatrix starting at zero.
     """
     if n_steps < 0:
         raise DomainError("n_steps must be nonnegative")
     total = np.zeros((p, params.q), dtype=params.dtype)
-    zero = ConeMatrix(np.zeros((params.q, params.q), dtype=params.dtype))
-    steps = [zero]
+    steps = [ConeMatrix(np.zeros((params.q, params.q), dtype=params.dtype))]
     for _ in range(n_steps):
         total = total + radial_matrix_sample(nu, p, params, rng).array
         steps.append(phi_p(total))
-    return WalkPath(params=params, steps=tuple(steps), label=label)
+    return tuple(steps)

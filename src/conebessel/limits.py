@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,24 +88,6 @@ class Schedule:
     def log_n(self, k: int) -> float:
         return math.log(self.n(k))
 
-    def as_dict(self) -> dict:
-        return {
-            "mu_family": self.mu_family,
-            "mu_c": self.mu_c,
-            "mu_b": self.mu_b,
-            "n_family": self.n_family,
-            "n_c": self.n_c,
-            "n_b": self.n_b,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Schedule":
-        known = {"mu_family", "mu_c", "mu_b", "n_family", "n_c", "n_b"}
-        extra = set(data) - known
-        if extra:
-            raise DomainError(f"unknown schedule fields: {sorted(extra)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ConditionDiagnostic:
@@ -117,11 +99,6 @@ class ConditionDiagnostic:
     log_ratios: tuple
     verdict: str
     note: str = HEURISTIC_NOTE
-
-    def ratios(self) -> tuple:
-        return tuple(
-            math.exp(v) if v < 700.0 else math.inf for v in self.log_ratios
-        )
 
 
 def _diverging(log_ratios) -> bool:
@@ -219,11 +196,10 @@ def csv_text(config_digest: str, seed: int, columns: str, rows) -> str:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Rows of one experiment plus the exact inputs that reproduce them."""
+    """Rows of one experiment, its master seed and any schedule diagnostics."""
 
     rows: tuple
     master_seed: int
-    config: dict = field(default_factory=dict)
     diagnostics: tuple = ()
 
     def csv_rows(self) -> list:
@@ -233,11 +209,6 @@ class ExperimentReport:
             f"{r.statistic},{r.value:.17g},{r.stderr:.17g},{r.seed}"
             for r in self.rows
         ]
-
-    def to_csv(self) -> str:
-        return csv_text(
-            config_hash(self.config), self.master_seed, REPORT_COLUMNS, self.csv_rows()
-        )
 
 
 def second_moment(nu: RadialLaw) -> ConeMatrix:
@@ -250,10 +221,8 @@ def second_moment(nu: RadialLaw) -> ConeMatrix:
 
 
 def _walk_deviation(nu, params, n_steps, target, rng) -> float:
-    path = walk_simulate(nu, params, n_steps, rng)
-    s = path.last().array / math.sqrt(n_steps)
-    diff = s - target
-    return float(np.linalg.norm(diff))
+    s = walk_simulate(nu, params, n_steps, rng)[-1].array / math.sqrt(n_steps)
+    return float(np.linalg.norm(s - target))
 
 
 def wlln_experiment(
@@ -302,16 +271,7 @@ def wlln_experiment(
                 seed=master_seed,
             )
         )
-    config = {
-        "experiment": "wlln",
-        "q": params.q,
-        "d": params.d,
-        "schedule": schedule.as_dict(),
-        "k_grid": [int(k) for k in k_grid],
-        "replicates": replicates,
-        "epsilon": epsilon,
-    }
-    return ExperimentReport(rows=tuple(rows), master_seed=master_seed, config=config)
+    return ExperimentReport(rows=tuple(rows), master_seed=master_seed)
 
 
 def slln_experiment(
@@ -361,19 +321,7 @@ def slln_experiment(
             ReportRow("slln", k, mu_k, nk, 1, "tail_sup", tail, 0.0, master_seed)
         )
     rows.extend(reversed(sup_rows))
-    config = {
-        "experiment": "slln",
-        "q": params.q,
-        "d": params.d,
-        "schedule": schedule.as_dict(),
-        "k_max": k_max,
-    }
-    return ExperimentReport(
-        rows=tuple(rows),
-        master_seed=master_seed,
-        config=config,
-        diagnostics=diags,
-    )
+    return ExperimentReport(rows=tuple(rows), master_seed=master_seed, diagnostics=diags)
 
 
 def _require_rank_one(params: StructureParams, what: str):
@@ -401,14 +349,14 @@ def free_energy_empirical(
     if n < 1 or replicates < 2:
         raise DomainError("need n >= 1 and replicates >= 2")
     pk = params.with_mu(mu)
+    if t == 0.0:
+        return 0.0, 0.0
     label = f"ldp:mu={mu:.17g}:n={n}:t={t:.17g}"
     exponents = np.empty(replicates)
     for r in range(replicates):
-        path = walk_simulate(nu, pk, n, substream(master_seed, label, r))
-        s_val = float(np.real(path.last().array[0, 0]))
+        states = walk_simulate(nu, pk, n, substream(master_seed, label, r))
+        s_val = float(np.real(states[-1].array[0, 0]))
         exponents[r] = t * s_val * s_val
-    if t == 0.0:
-        return 0.0, 0.0
     shift = float(exponents.max())
     w = np.exp(exponents - shift)
     mean_w = float(w.mean())

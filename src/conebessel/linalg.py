@@ -5,7 +5,9 @@ drivers) goes through the small set of primitives defined here, so the
 numerical policy is in one place: Hermiticity is enforced to 1e-12
 relative, positive semidefiniteness to 1e-10 relative with eigenvalue
 clamping at construction, and eigendecomposition is the single primitive
-used for square roots and ball membership.
+used for square roots and ball membership.  These checks run where outside
+input enters; an array that is Hermitian and PSD by construction (a walk
+step) takes the same spectral path without them.
 """
 
 from __future__ import annotations
@@ -80,6 +82,20 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a, or its real part when every imaginary part is exactly zero."""
+    if np.iscomplexobj(a) and np.max(np.abs(a.imag)) == 0.0:
+        return a.real
+    return a
+
+
+def _clamped_spectrum(h: np.ndarray):
+    """eigh of an exactly Hermitian array: (smallest raw eigenvalue,
+    eigenvalues clamped at zero, eigenvectors), both in descending order."""
+    w, v = np.linalg.eigh(h)
+    return float(w[0]), np.maximum(w, 0.0)[::-1].copy(), v[:, ::-1].copy()
+
+
 class HermitianMatrix:
     """Square matrix equal to its conjugate transpose within tolerance.
 
@@ -101,10 +117,7 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: |x - x*| = {dev:.3e} exceeds "
                 f"{HERMITIAN_TOL:.0e} relative tolerance"
             )
-        h = (a + a.conj().T) / 2.0
-        if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
-            h = h.real
-        object.__setattr__(self, "array", h)
+        object.__setattr__(self, "array", _real_if_exact((a + a.conj().T) / 2.0))
 
     @property
     def q(self) -> int:
@@ -134,20 +147,16 @@ class ConeMatrix(HermitianMatrix):
 
     def __init__(self, array):
         super().__init__(array)
-        w, v = np.linalg.eigh(self.array)
-        scale = max(float(w[-1]), 0.0) + 1.0
-        if w[0] < -PSD_TOL * scale:
+        low, eigs, vecs = _clamped_spectrum(self.array)
+        if low < -PSD_TOL * (eigs[0] + 1.0):
             raise DomainError(
-                f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e} "
+                f"matrix is not positive semidefinite: min eigenvalue {low:.3e} "
                 f"below -{PSD_TOL:.0e} relative tolerance"
             )
-        clamped = np.maximum(w, 0.0)
-        if w[0] < 0.0:
-            rebuilt = (v * clamped) @ v.conj().T
-            rebuilt = (rebuilt + rebuilt.conj().T) / 2.0
-            object.__setattr__(self, "array", rebuilt)
-        object.__setattr__(self, "eigs", clamped[::-1].copy())
-        object.__setattr__(self, "_vecs", v[:, ::-1].copy())
+        if low < 0.0:
+            object.__setattr__(self, "array", ConeMatrix._from_eigh(eigs, vecs).array)
+        object.__setattr__(self, "eigs", eigs)
+        object.__setattr__(self, "_vecs", vecs)
 
     @classmethod
     def _from_eigh(cls, eigs_desc: np.ndarray, vecs: np.ndarray) -> "ConeMatrix":
@@ -155,12 +164,22 @@ class ConeMatrix(HermitianMatrix):
         obj = object.__new__(cls)
         e = np.maximum(np.asarray(eigs_desc, dtype=float), 0.0)
         a = (vecs * e) @ vecs.conj().T
-        a = (a + a.conj().T) / 2.0
-        if np.iscomplexobj(a) and np.max(np.abs(a.imag)) == 0.0:
-            a = a.real
-        object.__setattr__(obj, "array", a)
+        object.__setattr__(obj, "array", _real_if_exact((a + a.conj().T) / 2.0))
         object.__setattr__(obj, "eigs", e.copy())
         object.__setattr__(obj, "_vecs", vecs.copy())
+        return obj
+
+    @classmethod
+    def _unchecked(cls, h: np.ndarray) -> "ConeMatrix":
+        """The spectral step of __init__ without its checks, for an array that
+        is finite, exactly Hermitian and PSD up to rounding by construction.
+        The array is kept, not rebuilt: callers take only the spectrum."""
+        h = _real_if_exact(h)
+        _, eigs, vecs = _clamped_spectrum(h)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "array", h)
+        object.__setattr__(obj, "eigs", eigs)
+        object.__setattr__(obj, "_vecs", vecs)
         return obj
 
     def eigenvalues(self) -> np.ndarray:
@@ -201,9 +220,7 @@ class RectMatrix:
 
 def psd_sqrt(a) -> ConeMatrix:
     """Unique PSD square root of a PSD matrix."""
-    if isinstance(a, ConeMatrix):
-        return ConeMatrix._from_eigh(np.sqrt(a.eigs), a._vecs)
-    c = ConeMatrix(a)
+    c = a if isinstance(a, ConeMatrix) else ConeMatrix(a)
     return ConeMatrix._from_eigh(np.sqrt(c.eigs), c._vecs)
 
 

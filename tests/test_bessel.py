@@ -18,7 +18,7 @@ from conebessel.bessel import (
     kappa_mu,
     theorem1_gap,
 )
-from conebessel.errors import ConvergenceError, DimensionError, DomainError
+from conebessel.errors import ConvergenceError, DimensionError, DomainError, SamplingError
 from conebessel.linalg import StructureParams
 from conebessel.seeds import substream
 
@@ -57,6 +57,16 @@ def test_series_raises_with_achieved_bound_when_capped():
     with pytest.raises(ConvergenceError) as err:
         bessel_series(2.0, np.array([[40.0]]), params, max_weight=5)
     assert err.value.achieved_bound > 0.0
+
+
+def test_series_refuses_a_non_finite_partial_sum():
+    # x**k overflows long before the tail bound certifies; a nan must not
+    # come back with a small "certified" bound
+    params = StructureParams(q=1, d=1, mu=2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="not finite") as err:
+            bessel_series(2.0, [[120.0]], params, max_weight=2000)
+    assert err.value.achieved_bound == math.inf
 
 
 def test_classical_bessel_against_scipy():
@@ -134,6 +144,16 @@ def test_integral_mc_guards():
         bessel_integral_mc(0.4, np.eye(1), params, 100, rng)
     with pytest.raises(DomainError):
         bessel_integral_mc(3.0, np.eye(1), params, 1, rng)
+
+
+def test_zero_accepted_weight_raises():
+    # at q=3, d=2 the box proposal over 18 real coordinates almost never
+    # lands in the ball; a zero weight sum is not an estimate
+    params = StructureParams(q=3, d=2, mu=6.0)
+    with pytest.raises(SamplingError, match="importance weight is zero"):
+        kappa_mu(params, 2000, substream(1, "k"))
+    with pytest.raises(SamplingError, match="importance weight is zero"):
+        bessel_integral_mc(6.0, 0.25 * np.eye(3), params, 2000, substream(1, "k"))
 
 
 # ---------------------------------------------------------------- envelopes

@@ -218,6 +218,57 @@ def test_uncertifiable_series_exits_three(tmp_path, capsys):
     assert "certified bound achieved" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "--mu", "6", "--weights", "0.5,abc"],
+        ["walk", "--mu", "6", "--atoms", "1,x"],
+        ["dunkl", "--q", "2", "--xi", "1,b"],
+        ["ldp", "--t-values", "1,z"],
+        ["bessel", "--mu", "3", "--grid", "1:a:2"],
+    ],
+)
+def test_malformed_list_value_exits_two(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert "entries must be numbers" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("field", ["grid", "weights", "t_values", "atoms"])
+def test_malformed_config_list_exits_two(tmp_path, capsys, field):
+    p = tmp_path / "c.json"
+    value = [["a"]] if field == "atoms" else [1, "a"]
+    p.write_text(json.dumps({field: value}), encoding="utf-8")
+    assert cli.main(["ldp", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "entries must be numbers" in capsys.readouterr().err
+
+
+def test_overflowing_walk_exits_two_without_csv(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["walk", "--q", "1", "--mu", "6", "--atoms", "1e200", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "matrix entries must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "walk.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # no ball proposal is accepted: the importance weight sums to zero
+        (["--q", "3", "--d", "2", "--mu", "6", "--grid", "0.5", "--n-samples", "2000"],
+         "sampling failure"),
+        # the series overflows to nan long before its tail certifies
+        (["--q", "1", "--mu", "2", "--grid", "22", "--max-weight", "2000"],
+         "partial sum is not finite"),
+    ],
+)
+def test_unusable_bessel_values_exit_three(tmp_path, capsys, argv, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["bessel", *argv, "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bessel.csv").exists()
+
+
 def test_argparse_rejects_bad_field_choice():
     with pytest.raises(SystemExit):
         cli.main(["bessel", "--d", "3"])

@@ -73,6 +73,12 @@ def test_hyper_0f0_guards_and_convergence():
     with pytest.raises(ConvergenceError) as err:
         hyper_0F0(1.0, [30.0], [2.0], max_weight=4)
     assert err.value.achieved_bound > 0.0
+    # xi**2 overflows while eta**2 underflows: the weight-2 layer is inf * 0,
+    # which must not come back as nan with the small tail of s = 1
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        with pytest.raises(ConvergenceError, match="not finite") as err:
+            hyper_0F0(1.0, [1e200], [1e-200])
+    assert err.value.achieved_bound == math.inf
 
 
 def test_harish_chandra_rank_one_and_guards():

@@ -9,14 +9,13 @@ from scipy import stats
 from conebessel.errors import DimensionError, DomainError, SamplingError
 from conebessel.hypergroup import (
     RadialLaw,
-    WalkPath,
     _sample_ball_batch,
     convolve_sample,
     orbit_walk_simulate,
     radial_matrix_sample,
     walk_simulate,
 )
-from conebessel.linalg import ConeMatrix, StructureParams, phi_p
+from conebessel.linalg import ConeMatrix, StructureParams, phi_p, psd_sqrt
 from conebessel.seeds import substream
 
 
@@ -50,15 +49,6 @@ def test_radial_law_sample_index_distribution():
     assert abs(p - 0.75) <= 5.0 * math.sqrt(0.25 * 0.75 / 4000)
 
 
-def test_walk_path_must_start_at_zero():
-    params = StructureParams(q=1, d=1, mu=2.0)
-    with pytest.raises(DomainError):
-        WalkPath(params=params, steps=(ConeMatrix(np.eye(1)),))
-    path = WalkPath(params=params, steps=(ConeMatrix(np.zeros((1, 1))), ConeMatrix(np.eye(1))))
-    assert path.n_steps == 1
-    assert path.last().eigs[0] == 1.0
-
-
 def test_zero_is_neutral_and_consumes_no_randomness():
     params = StructureParams(q=2, d=1, mu=4.0)
     r = ConeMatrix(np.diag([1.0, 0.5]))
@@ -66,6 +56,38 @@ def test_zero_is_neutral_and_consumes_no_randomness():
     # rng=None would crash if the sampler were touched
     assert convolve_sample(r, zero, params, None) is r
     assert convolve_sample(zero, r, params, None) is r
+
+
+def test_step_equals_validated_square_root_bit_for_bit():
+    # the step skips the Hermitian/PSD checks but must give exactly
+    # psd_sqrt(ConeMatrix(m)) for the same ball draw, including the switch
+    # to a real array at q=1, d=2
+    for q, d in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+        params = StructureParams(q=q, d=d, mu=3.0 * q + 4.0)
+        r = ConeMatrix(np.diag(np.linspace(1.2, 0.4, q)))
+        s = ConeMatrix(np.diag(np.linspace(0.3, 0.9, q)))
+        for i in range(5):
+            out = convolve_sample(r, s, params, substream(18, "bits", i))
+            v = _sample_ball_batch(params, substream(18, "bits", i), 1)[0]
+            m = r.array @ r.array + s.array @ s.array + s.array @ v @ r.array
+            m = m + r.array @ v.conj().T @ s.array
+            want = psd_sqrt(ConeMatrix((m + m.conj().T) / 2.0))
+            assert out.array.dtype == want.array.dtype
+            assert np.array_equal(out.array, want.array)
+            assert np.array_equal(out.eigs, want.eigs)
+
+
+def test_step_validates_raw_arguments_and_refuses_overflow():
+    params = StructureParams(q=2, d=1, mu=6.0)
+    r = ConeMatrix(np.eye(2))
+    with pytest.raises(DomainError):
+        convolve_sample(np.diag([1.0, -1.0]), r, params, substream(18, "raw", 0))
+    out = convolve_sample(np.eye(2), 2.0 * np.eye(2), params, substream(18, "raw", 1))
+    assert isinstance(out, ConeMatrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = ConeMatrix(1e200 * np.eye(2))
+        with pytest.raises(DomainError, match="finite"):
+            convolve_sample(huge, huge, params, substream(18, "raw", 2))
 
 
 def test_convolution_spectral_norm_triangle_bound():
@@ -100,7 +122,7 @@ def test_second_moment_additivity_of_walk():
     vals = np.empty(n)
     for i in range(n):
         path = walk_simulate(law, params, k, substream(13, "moment", i))
-        vals[i] = float((path.last().eigs ** 2).sum())
+        vals[i] = float((path[-1].eigs ** 2).sum())
     want = k * 1.25
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - want) <= 5.0 * se
@@ -109,11 +131,12 @@ def test_second_moment_additivity_of_walk():
 def test_walk_simulate_shape_and_determinism():
     params = StructureParams(q=2, d=1, mu=3.0)
     law = _law(2, [(1.0, 0.5), (0.5, 0.25)])
-    p1 = walk_simulate(law, params, 5, substream(14, "walk", 0), label="a")
-    p2 = walk_simulate(law, params, 5, substream(14, "walk", 0), label="a")
-    assert p1.n_steps == 5
-    assert p1.steps[0].is_zero()
-    for a, b in zip(p1.steps, p2.steps):
+    p1 = walk_simulate(law, params, 5, substream(14, "walk", 0))
+    p2 = walk_simulate(law, params, 5, substream(14, "walk", 0))
+    assert len(p1) == 6
+    assert p1[0].is_zero()
+    assert all(isinstance(s, ConeMatrix) for s in p1)
+    for a, b in zip(p1, p2):
         assert np.array_equal(a.array, b.array)
     with pytest.raises(DomainError):
         walk_simulate(law, params, -1, substream(14, "walk", 1))
@@ -130,8 +153,10 @@ def test_orbit_walk_matches_convolution_walk_in_law():
     top_conv = np.empty(n)
     top_orbit = np.empty(n)
     for i in range(n):
-        top_conv[i] = walk_simulate(law, params, steps, substream(15, "conv", i)).last().eigs[0]
-        top_orbit[i] = orbit_walk_simulate(law, p, params, steps, substream(15, "orbit", i)).last().eigs[0]
+        top_conv[i] = walk_simulate(law, params, steps, substream(15, "conv", i))[-1].eigs[0]
+        orbit = orbit_walk_simulate(law, p, params, steps, substream(15, "orbit", i))
+        assert len(orbit) == steps + 1 and orbit[0].is_zero()
+        top_orbit[i] = orbit[-1].eigs[0]
     res = stats.ks_2samp(top_conv, top_orbit, method="asymp")
     assert res.pvalue > 1e-3
 

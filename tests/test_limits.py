@@ -13,12 +13,13 @@ import pytest
 from conebessel.errors import DomainError, UnsupportedRankError
 from conebessel.hypergroup import RadialLaw
 from conebessel.limits import (
-    ConditionDiagnostic,
     ExperimentReport,
     HEURISTIC_NOTE,
+    REPORT_COLUMNS,
     ReportRow,
     Schedule,
     config_hash,
+    csv_text,
     free_energy_empirical,
     free_energy_limit,
     rate_function,
@@ -73,13 +74,6 @@ def test_schedule_guards():
         Schedule(n_family="poly", n_c=1.0, n_b=4.0).n(10**4)
 
 
-def test_schedule_dict_round_trip():
-    s = Schedule(mu_family="poly", mu_c=3.0, mu_b=2.0, n_family="polylog", n_c=1.0, n_b=3.0)
-    assert Schedule.from_dict(s.as_dict()) == s
-    with pytest.raises(DomainError):
-        Schedule.from_dict({"mu_family": "poly", "bogus": 1})
-
-
 def test_schedule_conditions_verdicts():
     fast = Schedule(mu_family="pow2", n_family="poly", n_c=1.0, n_b=1.0)
     diags = schedule_conditions(fast, 100_000)
@@ -100,13 +94,6 @@ def test_schedule_conditions_verdicts():
         schedule_conditions(fast, 9)
 
 
-def test_condition_ratios_exponentiate_and_saturate():
-    d = ConditionDiagnostic(
-        name="x", ratio_label="r", ks=(2, 3), log_ratios=(0.0, 800.0), verdict="diverging"
-    )
-    assert d.ratios() == (1.0, math.inf)
-
-
 # ---------------------------------------------------------------- reporting
 
 
@@ -119,7 +106,6 @@ def test_report_csv_golden():
     rep = ExperimentReport(
         rows=(ReportRow("wlln", 2, 4.0, 2, 10, "tail_prob", 0.25, 0.1, 7),),
         master_seed=7,
-        config={"a": 1},
     )
     want = (
         "# config_hash=015abd7f5cc57a2d\n"
@@ -127,7 +113,7 @@ def test_report_csv_golden():
         "experiment,k,mu,n,replicates,statistic,value,stderr,seed\n"
         "wlln,2,4,2,10,tail_prob,0.25,0.10000000000000001,7\n"
     )
-    assert rep.to_csv() == want
+    assert csv_text(config_hash({"a": 1}), 7, REPORT_COLUMNS, rep.csv_rows()) == want
 
 
 # ----------------------------------------------------------------- moments
@@ -154,7 +140,7 @@ def test_wlln_runs_deterministically():
     assert all(row.statistic == "tail_prob" for row in r1.rows)
     assert all(0.0 <= row.value <= 1.0 for row in r1.rows)
     assert [row.mu for row in r1.rows] == [16.0, 256.0]
-    assert "# seed=5" in r1.to_csv()
+    assert r1.master_seed == 5 and all(row.seed == 5 for row in r1.rows)
 
 
 def test_wlln_guards():
@@ -198,6 +184,19 @@ def test_free_energy_empirical_basics():
         free_energy_empirical(law, StructureParams(q=2, d=1, mu=4.0), 64.0, 4, 1.0, 10, 0)
     with pytest.raises(DomainError):
         free_energy_empirical(law, P1, 64.0, 0, 1.0, 10, 0)
+
+
+def test_free_energy_at_zero_tilt_runs_no_walks(monkeypatch):
+    import conebessel.limits as limits
+
+    def no_walks(*args):
+        raise AssertionError("c_k(0) = 0 needs no walks")
+
+    monkeypatch.setattr(limits, "walk_simulate", no_walks)
+    law = _bernoulli_law()
+    assert free_energy_empirical(law, P1, 64.0, 4, 0.0, 10, 3) == (0.0, 0.0)
+    with pytest.raises(DomainError):  # the argument checks still come first
+        free_energy_empirical(law, P1, 64.0, 0, 0.0, 10, 3)
 
 
 def test_free_energy_limit_bernoulli_closed_form():
