@@ -45,6 +45,7 @@ _EXPORTS = {
     "RadialLaw": "hypergroup",
     "convolve_sample": "hypergroup",
     "walk_simulate": "hypergroup",
+    "walk_batch": "hypergroup",
     # chamber kernel
     "ChamberPoint": "dunkl",
     "bessel_B_mc": "dunkl",

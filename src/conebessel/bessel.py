@@ -31,7 +31,7 @@ from scipy import special
 
 from .errors import ConvergenceError, DimensionError, DomainError, SamplingError
 from .jack import gen_pochhammer, layer_values
-from .linalg import HermitianMatrix, StructureParams, _as_array, _ball_proposal
+from .linalg import HermitianMatrix, StructureParams, _as_array, _ball_draw, _ball_weigh
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_WEIGHT = 30
@@ -77,10 +77,12 @@ def _series_from_eigs(
     for k in range(1, max_weight + 1):
         sign = -sign
         inv_fact /= k
-        parts, vals = layer_values(params.alpha, q, k, eigs)
-        poch = np.array([gen_pochhammer(mu, lam, params.alpha) for lam in parts])
-        layer = (vals / poch[:, None]).sum(axis=0)
-        total += sign * inv_fact * layer
+        # an overflow here is caught by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts, vals = layer_values(params.alpha, q, k, eigs)
+            poch = np.array([gen_pochhammer(mu, lam, params.alpha) for lam in parts])
+            layer = (vals / poch[:, None]).sum(axis=0)
+            total += sign * inv_fact * layer
         if not np.all(np.isfinite(total)):
             raise ConvergenceError(
                 f"Bessel series partial sum is not finite at weight {k}", achieved_bound=math.inf
@@ -159,7 +161,8 @@ def _ball_proposal_weights(mu: float, params: StructureParams, n: int, rng):
         log_base = (dim / 2.0) * math.log(math.pi / expo)
     else:
         log_base = dim * math.log(2.0)
-    v, inside, log_ratio = _ball_proposal(expo, params, rng, n, gaussian)
+    v = _ball_draw(expo, params, rng, n, gaussian)
+    inside, log_ratio = _ball_weigh(expo, v, gaussian)
     with np.errstate(over="ignore"):
         w = np.where(inside, np.exp(log_ratio + log_base), 0.0)
     return w, v

@@ -371,7 +371,7 @@ def _cmd_walk(res: _Resolved):
     and Frobenius norm."""
     import numpy as np
 
-    from .hypergroup import walk_simulate
+    from .hypergroup import walk_batch
     from .seeds import substream
 
     cfg = res.cfg
@@ -382,10 +382,13 @@ def _cmd_walk(res: _Resolved):
         coord_cols = []
         for i, j in pairs:
             coord_cols += [f"x_{i + 1}{j + 1}_re", f"x_{i + 1}{j + 1}_im"]
+    rngs = [substream(cfg.seed, "walk", rep) for rep in range(cfg.replicates)]
+    # all steps run before any row is formatted, so a failing walk formats nothing
+    history = list(walk_batch(res.law, res.params, cfg.steps, rngs))
     rows = []
     for rep in range(cfg.replicates):
-        states = walk_simulate(res.law, res.params, cfg.steps, substream(cfg.seed, "walk", rep))
-        for step, point in enumerate(states):
+        for step, states in enumerate(history):
+            point = states[rep]
             a = point.array
             vals = []
             for i, j in pairs:

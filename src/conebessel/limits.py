@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRankError
-from .hypergroup import RadialLaw, walk_simulate
+from .hypergroup import RadialLaw, walk_batch, walk_simulate
 from .linalg import ConeMatrix, StructureParams, psd_sqrt
 from .seeds import substream
 
@@ -196,10 +196,10 @@ def csv_text(config_digest: str, seed: int, columns: str, rows) -> str:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Rows of one experiment, its master seed and any schedule diagnostics."""
+    """Rows of one experiment (each carries the master seed) and any
+    schedule diagnostics."""
 
     rows: tuple
-    master_seed: int
     diagnostics: tuple = ()
 
     def csv_rows(self) -> list:
@@ -220,9 +220,15 @@ def second_moment(nu: RadialLaw) -> ConeMatrix:
     return ConeMatrix(total)
 
 
-def _walk_deviation(nu, params, n_steps, target, rng) -> float:
-    s = walk_simulate(nu, params, n_steps, rng)[-1].array / math.sqrt(n_steps)
-    return float(np.linalg.norm(s - target))
+def _endpoints(nu, params, n_steps, rngs) -> list:
+    """S_n of one walk per stream, all run together by walk_batch."""
+    for states in walk_batch(nu, params, n_steps, rngs):
+        pass
+    return states
+
+
+def _deviation(end: ConeMatrix, n_steps: int, target) -> float:
+    return float(np.linalg.norm(end.array / math.sqrt(n_steps) - target))
 
 
 def wlln_experiment(
@@ -251,11 +257,9 @@ def wlln_experiment(
         k = int(k)
         pk = params.with_mu(schedule.mu(k))
         label = f"wlln:k={k}"
-        hits = 0
-        for r in range(replicates):
-            dev = _walk_deviation(nu, pk, k, target, substream(master_seed, label, r))
-            if dev > epsilon:
-                hits += 1
+        rngs = [substream(master_seed, label, r) for r in range(replicates)]
+        ends = _endpoints(nu, pk, k, rngs)
+        hits = sum(_deviation(end, k, target) > epsilon for end in ends)
         p_hat = hits / replicates
         se = math.sqrt(p_hat * (1.0 - p_hat) / replicates)
         rows.append(
@@ -271,7 +275,7 @@ def wlln_experiment(
                 seed=master_seed,
             )
         )
-    return ExperimentReport(rows=tuple(rows), master_seed=master_seed)
+    return ExperimentReport(rows=tuple(rows))
 
 
 def slln_experiment(
@@ -304,10 +308,8 @@ def slln_experiment(
     for k in range(1, k_max + 1):
         pk = params.with_mu(schedule.mu(k))
         nk = schedule.n(k)
-        devs.append(
-            (k, pk.mu, nk,
-             _walk_deviation(nu, pk, nk, target, substream(master_seed, "slln", k)))
-        )
+        end = walk_simulate(nu, pk, nk, substream(master_seed, "slln", k))[-1]
+        devs.append((k, pk.mu, nk, _deviation(end, nk, target)))
     rows = []
     for k, mu_k, nk, dev in devs:
         rows.append(
@@ -321,7 +323,7 @@ def slln_experiment(
             ReportRow("slln", k, mu_k, nk, 1, "tail_sup", tail, 0.0, master_seed)
         )
     rows.extend(reversed(sup_rows))
-    return ExperimentReport(rows=tuple(rows), master_seed=master_seed, diagnostics=diags)
+    return ExperimentReport(rows=tuple(rows), diagnostics=diags)
 
 
 def _require_rank_one(params: StructureParams, what: str):
@@ -352,10 +354,10 @@ def free_energy_empirical(
     if t == 0.0:
         return 0.0, 0.0
     label = f"ldp:mu={mu:.17g}:n={n}:t={t:.17g}"
+    rngs = [substream(master_seed, label, r) for r in range(replicates)]
     exponents = np.empty(replicates)
-    for r in range(replicates):
-        states = walk_simulate(nu, pk, n, substream(master_seed, label, r))
-        s_val = float(np.real(states[-1].array[0, 0]))
+    for r, end in enumerate(_endpoints(nu, pk, n, rngs)):
+        s_val = float(np.real(end.array[0, 0]))
         exponents[r] = t * s_val * s_val
     shift = float(exponents.max())
     w = np.exp(exponents - shift)

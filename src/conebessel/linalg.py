@@ -82,18 +82,33 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
+def _imag_free(a: np.ndarray):
+    """Per matrix of a complex (..., q, q) array: is every imaginary part
+    exactly zero?"""
+    return np.max(np.abs(a.imag), axis=(-2, -1)) == 0.0
+
+
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
     """a, or its real part when every imaginary part is exactly zero."""
-    if np.iscomplexobj(a) and np.max(np.abs(a.imag)) == 0.0:
+    if np.iscomplexobj(a) and _imag_free(a):
         return a.real
     return a
 
 
 def _clamped_spectrum(h: np.ndarray):
-    """eigh of an exactly Hermitian array: (smallest raw eigenvalue,
-    eigenvalues clamped at zero, eigenvectors), both in descending order."""
+    """eigh of one or a stack of exactly Hermitian arrays: (smallest raw
+    eigenvalue, eigenvalues clamped at zero, eigenvectors), the last two in
+    descending order."""
     w, v = np.linalg.eigh(h)
-    return float(w[0]), np.maximum(w, 0.0)[::-1].copy(), v[:, ::-1].copy()
+    return w[..., 0], np.maximum(w, 0.0)[..., ::-1].copy(), v[..., ::-1].copy()
+
+
+def _rebuild(eigs: np.ndarray, vecs: np.ndarray):
+    """(eigs clamped at zero, exact Hermitian part of vecs diag(eigs) vecs*)
+    for one or a stack of eigendecompositions."""
+    e = np.maximum(eigs, 0.0)
+    a = (vecs * e[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return e, (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 class HermitianMatrix:
@@ -110,8 +125,12 @@ class HermitianMatrix:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise DomainError("matrix entries must be finite")
-        scale = float(np.linalg.norm(a)) + 1.0
-        dev = float(np.linalg.norm(a - a.conj().T))
+        # both norms taken after dividing by the largest entry, so that
+        # they stay finite for entries beyond 1e154
+        peak = float(np.max(np.abs(a), initial=0.0)) or 1.0
+        b = a / peak
+        scale = float(np.linalg.norm(b)) + 1.0 / peak
+        dev = float(np.linalg.norm(b - b.conj().T))
         if dev > HERMITIAN_TOL * scale:
             raise DomainError(
                 f"matrix is not Hermitian: |x - x*| = {dev:.3e} exceeds "
@@ -161,23 +180,14 @@ class ConeMatrix(HermitianMatrix):
     @classmethod
     def _from_eigh(cls, eigs_desc: np.ndarray, vecs: np.ndarray) -> "ConeMatrix":
         """Build directly from a known eigendecomposition (internal fast path)."""
-        obj = object.__new__(cls)
-        e = np.maximum(np.asarray(eigs_desc, dtype=float), 0.0)
-        a = (vecs * e) @ vecs.conj().T
-        object.__setattr__(obj, "array", _real_if_exact((a + a.conj().T) / 2.0))
-        object.__setattr__(obj, "eigs", e.copy())
-        object.__setattr__(obj, "_vecs", vecs.copy())
-        return obj
+        e, a = _rebuild(np.asarray(eigs_desc, dtype=float), vecs)
+        return cls._of(_real_if_exact(a), e, vecs.copy())
 
     @classmethod
-    def _unchecked(cls, h: np.ndarray) -> "ConeMatrix":
-        """The spectral step of __init__ without its checks, for an array that
-        is finite, exactly Hermitian and PSD up to rounding by construction.
-        The array is kept, not rebuilt: callers take only the spectrum."""
-        h = _real_if_exact(h)
-        _, eigs, vecs = _clamped_spectrum(h)
+    def _of(cls, array: np.ndarray, eigs: np.ndarray, vecs: np.ndarray) -> "ConeMatrix":
+        """Wrap an array and its clamped descending spectrum, unchecked."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "array", h)
+        object.__setattr__(obj, "array", array)
         object.__setattr__(obj, "eigs", eigs)
         object.__setattr__(obj, "_vecs", vecs)
         return obj
@@ -224,6 +234,32 @@ def psd_sqrt(a) -> ConeMatrix:
     return ConeMatrix._from_eigh(np.sqrt(c.eigs), c._vecs)
 
 
+def _psd_sqrt_stack(m: np.ndarray) -> list:
+    """psd_sqrt(ConeMatrix(m[i])) for each matrix of a stack (n, q, q) that
+    is finite, exactly Hermitian and PSD up to rounding by construction, so
+    the checks are skipped: one eigh, a clamp, a square root and a rebuild.
+
+    Whether a complex matrix counts as real is decided per matrix, before
+    eigh and again after the rebuild, because real and complex inputs take
+    different LAPACK routines; the results equal the one-matrix path bit
+    for bit.
+    """
+    out = [None] * m.shape[0]
+    groups = [(range(m.shape[0]), m)]
+    if np.iscomplexobj(m):
+        real = _imag_free(m)
+        groups = [(np.flatnonzero(real), m.real[real]), (np.flatnonzero(~real), m[~real])]
+    for rows, h in groups:
+        if len(rows) == 0:
+            continue
+        _, eigs, vecs = _clamped_spectrum(h)
+        e, a = _rebuild(np.sqrt(eigs), vecs)
+        exact = _imag_free(a) if np.iscomplexobj(a) else np.zeros(len(rows), dtype=bool)
+        for k, i in enumerate(rows):
+            out[i] = ConeMatrix._of(a[k].real if exact[k] else a[k], e[k], vecs[k])
+    return out
+
+
 def phi_p(x) -> ConeMatrix:
     """Radial part (x* x)^{1/2} of a rectangular matrix."""
     a = _as_array(x)
@@ -259,18 +295,12 @@ def _haar_batch(p: int, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
     return q * phase[:, None, :]
 
 
-def _ball_proposal(
-    expo: float, params: StructureParams, rng, m: int, gaussian: bool, cut: float = 1.0
-):
+def _ball_draw(expo: float, params: StructureParams, rng, m: int, gaussian: bool) -> np.ndarray:
     """m proposals for the ball density Delta(I - v*v)^expo, stacked (m, q, q).
 
     The proposal is Gaussian with per-real-coordinate variance 1/(2 expo)
     when `gaussian`, else uniform on the entry-wise box [-1, 1]; over the
     complex field the imaginary parts are drawn after the real parts.
-    Returns (v, inside, log_ratio): `inside` marks draws whose v*v has top
-    eigenvalue below `cut`, and log_ratio is expo * (sum log(1 - a)
-    [+ sum a for the Gaussian]) over the eigenvalues a of v*v, the log of
-    target over proposal density up to a constant (zero outside).
     """
     q = params.q
     if gaussian:
@@ -282,10 +312,22 @@ def _ball_proposal(
         v = rng.uniform(-1.0, 1.0, (m, q, q))
         if params.d == 2:
             v = v + 1j * rng.uniform(-1.0, 1.0, (m, q, q))
+    return v
+
+
+def _ball_weigh(expo: float, v: np.ndarray, gaussian: bool, cut: float = 1.0):
+    """(inside, log_ratio) for stacked proposals v from _ball_draw.
+
+    `inside` marks draws whose v*v has top eigenvalue below `cut`, and
+    log_ratio is expo * (sum log(1 - a) [+ sum a for the Gaussian]) over the
+    eigenvalues a of v*v, the log of target over proposal density up to a
+    constant (zero outside).  Each draw is weighed on its own, so proposals
+    from several streams can be weighed in one call.
+    """
     a = np.linalg.eigvalsh(np.conj(np.swapaxes(v, 1, 2)) @ v)
     inside = a[:, -1] < cut
     a_in = np.where(inside[:, None], a, 0.0)
     log_ratio = np.log1p(-a_in).sum(axis=1)
     if gaussian:
         log_ratio = log_ratio + a_in.sum(axis=1)
-    return v, inside, expo * log_ratio
+    return inside, expo * log_ratio

@@ -6,8 +6,8 @@ Everything drives cli.main(argv) in-process; no subprocesses needed.
 import json
 import math
 import os
+import warnings
 
-import numpy as np
 import pytest
 
 from conebessel import acceptance, cli
@@ -244,8 +244,7 @@ def test_malformed_config_list_exits_two(tmp_path, capsys, field):
 
 
 def test_overflowing_walk_exits_two_without_csv(tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["walk", "--q", "1", "--mu", "6", "--atoms", "1e200", "--out", str(tmp_path)])
+    rc = cli.main(["walk", "--q", "1", "--mu", "6", "--atoms", "1e200", "--out", str(tmp_path)])
     assert rc == 2
     assert "matrix entries must be finite" in capsys.readouterr().err
     assert not (tmp_path / "walk.csv").exists()
@@ -263,10 +262,28 @@ def test_overflowing_walk_exits_two_without_csv(tmp_path, capsys):
     ],
 )
 def test_unusable_bessel_values_exit_three(tmp_path, capsys, argv, message):
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["bessel", *argv, "--out", str(tmp_path)]) == 3
+    assert cli.main(["bessel", *argv, "--out", str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "bessel.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["walk", "--q", "1", "--mu", "6", "--atoms", "1e200"], 2, "config error: "),
+        (["bessel", "--q", "1", "--mu", "2", "--grid", "22", "--max-weight", "2000"], 3,
+         "convergence failure: "),
+    ],
+)
+def test_failing_run_prints_only_its_error_line(tmp_path, capsys, argv, code, prefix):
+    # the overflow behind each failure raises no numpy warning ahead of
+    # the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([*argv, "--out", str(tmp_path)]) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_argparse_rejects_bad_field_choice():

@@ -1,11 +1,15 @@
 """Convolution sampling on the cone and the two walk constructions."""
 
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conebessel import cli, hypergroup
 from conebessel.errors import DimensionError, DomainError, SamplingError
 from conebessel.hypergroup import (
     RadialLaw,
@@ -13,6 +17,7 @@ from conebessel.hypergroup import (
     convolve_sample,
     orbit_walk_simulate,
     radial_matrix_sample,
+    walk_batch,
     walk_simulate,
 )
 from conebessel.linalg import ConeMatrix, StructureParams, phi_p, psd_sqrt
@@ -49,6 +54,17 @@ def test_radial_law_sample_index_distribution():
     assert abs(p - 0.75) <= 5.0 * math.sqrt(0.25 * 0.75 / 4000)
 
 
+def test_sample_index_is_generator_choice_bit_for_bit():
+    # one random() through the normalized cdf: the same index and the same
+    # stream position as rng.choice(n, p=weights), a single atom included
+    for weights in ((0.25, 0.75), (0.1, 0.2, 0.3, 0.4), (1.0,)):
+        law = _law(1, [(float(i + 1),) for i in range(len(weights))], weights=weights)
+        ours, theirs = substream(11, "choice", len(weights)), substream(11, "choice", len(weights))
+        for _ in range(500):
+            assert law.sample_index(ours) == int(theirs.choice(len(weights), p=law.weights))
+        assert ours.random() == theirs.random()
+
+
 def test_zero_is_neutral_and_consumes_no_randomness():
     params = StructureParams(q=2, d=1, mu=4.0)
     r = ConeMatrix(np.diag([1.0, 0.5]))
@@ -68,7 +84,7 @@ def test_step_equals_validated_square_root_bit_for_bit():
         s = ConeMatrix(np.diag(np.linspace(0.3, 0.9, q)))
         for i in range(5):
             out = convolve_sample(r, s, params, substream(18, "bits", i))
-            v = _sample_ball_batch(params, substream(18, "bits", i), 1)[0]
+            v = _sample_ball_batch(params, [substream(18, "bits", i)])[0]
             m = r.array @ r.array + s.array @ s.array + s.array @ v @ r.array
             m = m + r.array @ v.conj().T @ s.array
             want = psd_sqrt(ConeMatrix((m + m.conj().T) / 2.0))
@@ -177,7 +193,7 @@ def test_radial_matrix_sample_has_prescribed_radial_part():
 def test_sample_ball_stays_in_ball():
     for mu in (6.0, 4.5):  # Gaussian and box proposals (rho = 4)
         params = StructureParams(q=2, d=2, mu=mu)
-        v = _sample_ball_batch(params, substream(17, "ball", 0), 10)
+        v = _sample_ball_batch(params, [substream(17, "ball", i) for i in range(10)])
         assert v.shape == (10, 2, 2) and v.dtype == np.complex128
         assert np.all(np.linalg.svd(v, compute_uv=False)[:, 0] < 1.0)
 
@@ -186,7 +202,87 @@ def test_sampler_refuses_unbounded_density():
     # mu - rho < 0 makes the density blow up at the boundary
     params = StructureParams(q=1, d=1, mu=0.6)
     with pytest.raises(SamplingError):
-        _sample_ball_batch(params, substream(17, "ball", 1), 1)
+        _sample_ball_batch(params, [substream(17, "ball", 1)])
     r = ConeMatrix(np.eye(1))
     with pytest.raises(SamplingError):
         convolve_sample(r, r, params, substream(17, "ball", 2))
+
+
+def test_sampler_budget_applies_per_stream(monkeypatch):
+    # with a budget of two blocks, a batch fails exactly when one of its
+    # streams alone would fail; the proposals of other streams do not count
+    monkeypatch.setattr(hypergroup, "_MAX_PROPOSALS", 32)
+    params = StructureParams(q=2, d=2, mu=4.5)  # box proposal, low acceptance
+
+    def fails(streams):
+        try:
+            _sample_ball_batch(params, streams)
+        except SamplingError:
+            return True
+        return False
+
+    alone = [fails([substream(19, "budget", i)]) for i in range(40)]
+    assert any(alone) and not all(alone)
+    good = [substream(19, "budget", i) for i in range(40) if not alone[i]]
+    assert not fails(good)
+    assert fails([substream(19, "budget", i) for i in range(40)])
+
+
+# ------------------------------------------------------------ batched walks
+
+
+def test_walk_batch_matches_one_stream_walks_bit_for_bit():
+    # zero states and a zero atom pass through without draws, and each
+    # replicate reads only its own stream, whatever the others do
+    for q, d, mu in ((1, 1, 6.0), (1, 2, 6.0), (2, 2, 8.0), (2, 2, 4.5), (3, 1, 9.0)):
+        params = StructureParams(q=q, d=d, mu=mu)
+        law = _law(q, [np.linspace(1.0, 0.6, q), np.zeros(q), np.linspace(0.5, 0.7, q)],
+                   weights=(0.4, 0.3, 0.3))
+        batch = list(walk_batch(law, params, 7, [substream(20, "batch", r) for r in range(5)]))
+        assert len(batch) == 8 and all(len(states) == 5 for states in batch)
+        for r in range(5):
+            alone = walk_simulate(law, params, 7, substream(20, "batch", r))
+            for k, point in enumerate(alone):
+                got = batch[k][r]
+                assert got.array.dtype == point.array.dtype
+                assert np.array_equal(got.array, point.array)
+                assert np.array_equal(got.eigs, point.eigs)
+
+
+# SHA-256 of the seeded walk and ldp CSVs below the config-hash line (which
+# hashes the output path), recorded before walks were batched across
+# replicates; the batched engine must reproduce every byte.
+_WALK_DIGESTS = {
+    (1, 1, 6.0): "3506265e83264a919dcbbd60f31046804bd4db33b2df2a00f4cfbad9eb1a38ef",
+    (1, 2, 6.0): "1d091794fc2d4b2f4a30ecf6899926d4c495fdc4456a12d822b42d0b87e73c7c",
+    (2, 1, 8.0): "c1c7a47bc600150168efb6c446657d3a1e83546a8d95fbe522767ba51119053d",
+    (2, 2, 8.0): "4a5b2712312c374421de2e9e601556e8b626f0950543a21d31f9320e9695657a",
+    (3, 1, 9.0): "e094952d55ce0d685fe07ab8f14368c47740aba6f61df813ce28dbeebc680d47",
+    (2, 2, 4.5): "75aaaf1e55dd94b28b6b9da573e0485f40e28c7758cd336ebc07de907c545215",
+    (2, 1, 3.0): "07ac8b180a7571a31686508235bf094a9648380ca0684fec86edcc15f89cba9f",
+}
+_LDP_DIGEST = "77e3796f2c8f5e9a2ae1b287144db7ecc82b4ea74c2595b388f7a88e980ce4da"
+
+
+def _csv_digest(argv, out) -> str:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", str(out)]) == 0
+    text = (out / f"{argv[0]}.csv").read_text(encoding="utf-8")
+    return hashlib.sha256(text.split("\n", 1)[1].encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("q, d, mu", sorted(_WALK_DIGESTS))
+def test_walk_csv_matches_pinned_digest(tmp_path, q, d, mu):
+    first = ",".join(f"{1.0 - 0.2 * i:g}" for i in range(q))
+    last = ",".join(f"{0.5 + 0.1 * i:g}" for i in range(q))
+    zero = ",".join(["0"] * q)
+    argv = ["walk", "--q", str(q), "--d", str(d), "--mu", repr(mu), "--steps", "6",
+            "--replicates", "4", "--atoms", f"{first};{zero};{last}",
+            "--weights", "0.4,0.3,0.3", "--seed", "41"]
+    assert _csv_digest(argv, tmp_path) == _WALK_DIGESTS[(q, d, mu)]
+
+
+def test_ldp_csv_matches_pinned_digest(tmp_path):
+    argv = ["ldp", "--q", "1", "--d", "2", "--atoms", "0.3;1", "--weights", "0.5,0.5",
+            "--k-max", "6", "--t-values=-1,1", "--replicates", "30", "--seed", "6"]
+    assert _csv_digest(argv, tmp_path) == _LDP_DIGEST

@@ -103,10 +103,7 @@ def test_config_hash_is_order_invariant_and_frozen():
 
 
 def test_report_csv_golden():
-    rep = ExperimentReport(
-        rows=(ReportRow("wlln", 2, 4.0, 2, 10, "tail_prob", 0.25, 0.1, 7),),
-        master_seed=7,
-    )
+    rep = ExperimentReport(rows=(ReportRow("wlln", 2, 4.0, 2, 10, "tail_prob", 0.25, 0.1, 7),))
     want = (
         "# config_hash=015abd7f5cc57a2d\n"
         "# seed=7\n"
@@ -140,7 +137,7 @@ def test_wlln_runs_deterministically():
     assert all(row.statistic == "tail_prob" for row in r1.rows)
     assert all(0.0 <= row.value <= 1.0 for row in r1.rows)
     assert [row.mu for row in r1.rows] == [16.0, 256.0]
-    assert r1.master_seed == 5 and all(row.seed == 5 for row in r1.rows)
+    assert all(row.seed == 5 for row in r1.rows)
 
 
 def test_wlln_guards():
@@ -192,7 +189,7 @@ def test_free_energy_at_zero_tilt_runs_no_walks(monkeypatch):
     def no_walks(*args):
         raise AssertionError("c_k(0) = 0 needs no walks")
 
-    monkeypatch.setattr(limits, "walk_simulate", no_walks)
+    monkeypatch.setattr(limits, "walk_batch", no_walks)
     law = _bernoulli_law()
     assert free_energy_empirical(law, P1, 64.0, 4, 0.0, 10, 3) == (0.0, 0.0)
     with pytest.raises(DomainError):  # the argument checks still come first

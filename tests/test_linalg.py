@@ -9,6 +9,8 @@ from conebessel.linalg import (
     HermitianMatrix,
     RectMatrix,
     StructureParams,
+    _psd_sqrt_stack,
+    _real_if_exact,
     haar_unitary,
     phi_p,
     psd_sqrt,
@@ -61,6 +63,24 @@ def test_hermitian_matrix_rejects_bad_inputs():
         HermitianMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_hermitian_check_is_scaled_for_huge_entries():
+    # both norms overflow past about 1e154; the check divides by the
+    # largest entry first, so a skew part still registers
+    with pytest.raises(DomainError, match="not Hermitian"):
+        HermitianMatrix([[1e200, 5e199], [0.0, 1e200]])
+    with pytest.raises(DomainError, match="not Hermitian"):
+        HermitianMatrix([[1e300, 1e300j], [1e300j, 1e300]])
+    big = HermitianMatrix([[1e200, 5e199], [5e199, 1e200]])
+    assert np.array_equal(big.array, np.array([[1e200, 5e199], [5e199, 1e200]]))
+    # within tolerance: still accepted, and the stored array is the exact
+    # Hermitian part of the input, as before
+    for a in (np.array([[2.0, 1.0 + 1e-14], [1.0, 3.0]]),
+              np.array([[1.0, 0.5 - 2e-13j], [0.5 + 1e-13j, 2.0]]),
+              np.array([[1e-300, 0.0], [1e-310, 0.0]]),
+              np.zeros((2, 2))):
+        assert np.array_equal(HermitianMatrix(a).array, _real_if_exact((a + a.conj().T) / 2.0))
+
+
 def test_hermitian_complex_with_real_spectrum_demotes_to_real():
     h = HermitianMatrix(np.array([[2.0 + 0.0j, 0.0], [0.0, 1.0]]))
     assert not np.iscomplexobj(h.array)
@@ -95,6 +115,26 @@ def test_psd_sqrt_squares_back():
     s = psd_sqrt(a)
     assert np.allclose(s.array @ s.array, a, atol=1e-10)
     assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])).array, np.diag([2.0, 3.0]))
+
+
+def test_stacked_square_root_matches_one_matrix_path():
+    # one stack mixing complex matrices and complex-typed real ones: each
+    # goes to the LAPACK routine of its own kind and gets the bits of
+    # psd_sqrt(ConeMatrix(m)), dtype included
+    rng = np.random.default_rng(7)
+    for q in (1, 2, 3):
+        stack = []
+        for _ in range(3):
+            g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+            h = rng.standard_normal((q, q))
+            stack += [g @ g.conj().T, (h @ h.T).astype(complex)]
+        stack = np.stack([(m + m.conj().T) / 2.0 for m in stack])
+        for m, got in zip(stack, _psd_sqrt_stack(stack)):
+            want = psd_sqrt(ConeMatrix(m))
+            assert got.array.dtype == want.array.dtype
+            assert np.array_equal(got.array, want.array)
+            assert np.array_equal(got.eigs, want.eigs)
+            assert np.array_equal(got._vecs, want._vecs)
 
 
 def test_phi_p_is_radial_part():
