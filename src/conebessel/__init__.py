@@ -32,8 +32,7 @@ _EXPORTS = {
     "Partition": "jack",
     "partitions_of_weight": "jack",
     "gen_pochhammer": "jack",
-    "jack_C": "jack",
-    "zonal_Z": "jack",
+    "layers": "jack",
     "layer_values": "jack",
     # Bessel kernel
     "bessel_series": "bessel",

@@ -37,7 +37,7 @@ from .dunkl import (
     hyper_0F0,
 )
 from .hypergroup import RadialLaw, convolve_sample, walk_simulate
-from .jack import gen_pochhammer, layer_values, partitions_of_weight
+from .jack import gen_pochhammer, layers, partitions_of_weight
 from .limits import (
     Schedule,
     free_energy_empirical,
@@ -86,8 +86,7 @@ def zonal_power_trace():
             rng = substream(102, f"zonal:q={q}:d={d}")
             eigs = rng.standard_normal((100, q)) ** 2
             tr = eigs.sum(axis=1)
-            for k in range(1, 9):
-                _, vals = layer_values(2.0 / d, q, k, eigs)
+            for k, (_, vals) in zip(range(1, 9), layers(2.0 / d, q, eigs)):
                 rel = np.abs(vals.sum(axis=0) - tr**k) / tr**k
                 worst = max(worst, float(rel.max()))
     return worst <= 1e-8, f"max rel err = {worst:.2e} (tol 1e-8)"
@@ -157,9 +156,9 @@ def _check_zonal_sign_bound(rng, n_per):
     for q in (2, 3):
         for d in (1, 2):
             eigs = rng.standard_normal((n_per, q)) ** 2
-            for k in range(1, 9):
-                _, pos = layer_values(2.0 / d, q, k, eigs)
-                _, neg = layer_values(2.0 / d, q, k, -eigs)
+            for _, (_, pos), (_, neg) in zip(
+                range(8), layers(2.0 / d, q, eigs), layers(2.0 / d, q, -eigs)
+            ):
                 worst = max(worst, _norm_violation(np.abs(neg), pos))
     return worst
 

@@ -23,7 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, IllConditionedError
-from .jack import layer_values
+from .jack import (
+    layer_values,  # noqa: F401  (looked up here by the perfbench span recorder)
+    layers,
+)
 from .bessel import DEFAULT_MAX_WEIGHT, _mc_mean_se, _poisson_tail, _series_from_eigs
 from .linalg import StructureParams, _haar_batch
 
@@ -123,13 +126,11 @@ def hyper_0F0(
     tail = float(_poisson_tail(0, np.asarray([s]))[0])
     if tail <= tol:
         return total, tail
-    ones = np.ones((1, q))
+    lx, le, l1 = (layers(alpha, q, v) for v in (x[None, :], e[None, :], np.ones((1, q))))
     inv_fact = 1.0
     for k in range(1, max_weight + 1):
         inv_fact /= k
-        parts, vx = layer_values(alpha, q, k, x[None, :])
-        _, ve = layer_values(alpha, q, k, e[None, :])
-        _, v1 = layer_values(alpha, q, k, ones)
+        (_, vx), (_, ve), (_, v1) = next(lx), next(le), next(l1)
         total += inv_fact * float((vx[:, 0] * ve[:, 0] / v1[:, 0]).sum())
         if not math.isfinite(total):
             raise ConvergenceError(

@@ -47,8 +47,7 @@ __all__ = [
     "Partition",
     "partitions_of_weight",
     "gen_pochhammer",
-    "jack_C",
-    "zonal_Z",
+    "layers",
     "layer_values",
 ]
 
@@ -256,61 +255,61 @@ def _get_table(alpha, q: int) -> _JackTable:
     return table
 
 
-def _monomial_values(expo_list, xi_batch: np.ndarray, k: int) -> np.ndarray:
-    """Monomial symmetric polynomial values, shape (n partitions, batch)."""
-    n_batch, q = xi_batch.shape
-    powers = xi_batch[:, :, None] ** np.arange(k + 1)
-    cols = np.arange(q)
-    out = np.empty((len(expo_list), n_batch))
-    for r, expo in enumerate(expo_list):
-        acc = np.zeros(n_batch)
-        for perm in expo:
-            acc += powers[:, cols, perm].prod(axis=1)
-        out[r] = acc
+def _more_powers(xi_batch: np.ndarray, powers: np.ndarray, n: int) -> np.ndarray:
+    """The power table extended to the exponents 0, ..., n - 1.
+
+    powers[v, e] = xi_batch[:, v] ** e, shape (q, exponents, batch), so
+    that each (variable, exponent) row is contiguous.  The new exponents
+    vary along the innermost axis while the powers are taken, and there
+    are always at least two of them, so every entry goes through the
+    general pow: a constant exponent would let numpy square by x * x,
+    which is not always the same float.
+    """
+    done = powers.shape[1]
+    out = np.empty((powers.shape[0], n, powers.shape[2]))
+    out[:, :done] = powers
+    out[:, done:] = (xi_batch[:, :, None] ** np.arange(done, n)).transpose(1, 2, 0)
     return out
 
 
-def layer_values(alpha, q: int, k: int, xi_batch: np.ndarray):
-    """Values of every C_lambda^alpha with |lambda| = k, len(lambda) <= q.
+def _monomial_values(expo_list, powers: np.ndarray) -> np.ndarray:
+    """Monomial symmetric polynomial values, shape (n partitions, batch).
 
-    xi_batch has shape (batch, q); the result is (partitions, values) with
-    values of shape (n partitions, batch).
+    Each term is the left-to-right product powers[0, a] * powers[1, b] * ...
+    over one exponent permutation (a, b, ...).
+    """
+    q, _, n_batch = powers.shape
+    out = np.zeros((len(expo_list), n_batch))
+    buf = np.empty(n_batch)
+    for acc, expo in zip(out, expo_list):
+        for perm in expo.tolist():
+            term = powers[0, perm[0]]
+            for v in range(1, q):
+                term = np.multiply(term, powers[v, perm[v]], out=buf)
+            acc += term
+    return out
+
+
+def layers(alpha, q: int, xi_batch: np.ndarray):
+    """Yield (partitions, values) for the weights k = 1, 2, ... in turn.
+
+    Each item is the weight-k layer: every C_lambda^alpha with |lambda| = k
+    and len(lambda) <= q, with values of shape (n partitions, batch) at the
+    rows of xi_batch, which has shape (batch, q).  All layers read one
+    power table, extended to 2k exponents when weight k outgrows it.
     """
     table = _get_table(alpha, q)
-    parts, coeff, expo = table.layer(k)
-    mvals = _monomial_values(expo, np.asarray(xi_batch, dtype=float), k)
-    return parts, coeff @ mvals
+    xi = np.asarray(xi_batch, dtype=float)
+    powers = np.empty((q, 0, xi.shape[0]))
+    for k in itertools.count(1):
+        if powers.shape[1] <= k:
+            powers = _more_powers(xi, powers, 2 * k)
+        parts, coeff, expo = table.layer(k)
+        yield parts, coeff @ _monomial_values(expo, powers)
 
 
-def jack_C(lam, alpha, xi) -> float:
-    """Jack polynomial C_lambda^alpha at the point xi.
-
-    xi is a vector of q real numbers; lam must have at most q parts.
-    Normalized so the weight-k layer sums to (sum xi)^k.
-    """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    if lam.length > x.size:
-        raise DomainError(
-            f"partition has {lam.length} parts but only {x.size} variables"
-        )
-    if lam.weight == 0:
-        return 1.0
-    table = _get_table(alpha, x.size)
-    parts, coeff, expo = table.layer(lam.weight)
-    row = parts.index(lam)
-    mvals = _monomial_values(expo, x[None, :], lam.weight)
-    return float(coeff[row] @ mvals[:, 0])
-
-
-def zonal_Z(lam, x, params) -> float:
-    """Zonal polynomial Z_lambda(x) = C_lambda^{2/d} at the eigenvalues of x."""
-    from .linalg import HermitianMatrix, _as_array
-
-    a = _as_array(x)
-    if a.shape != (params.q, params.q):
-        raise DomainError(
-            f"argument must be {params.q} x {params.q}, got {a.shape}"
-        )
-    eigs = HermitianMatrix(a).eigenvalues()
-    return jack_C(lam, Fraction(2, params.d), eigs)
+def layer_values(alpha, q: int, k: int, xi_batch: np.ndarray):
+    """The weight-k item of layers(alpha, q, xi_batch), for k >= 1."""
+    if k < 1:
+        raise DomainError(f"weight must be at least 1, got {k}")
+    return next(itertools.islice(layers(alpha, q, xi_batch), k - 1, None))

@@ -367,13 +367,23 @@ def free_energy_empirical(
     return c_val, rel_se / n
 
 
+def _atom_squares(nu: RadialLaw) -> list:
+    """s^2 for each rank-one atom s."""
+    return [float(np.real(a.array[0, 0])) ** 2 for a in nu.atoms]
+
+
+def _free_energy(weights, squares, t: float) -> float:
+    """ln sum_i weights[i] exp(t squares[i]), shifted by its largest exponent."""
+    exps = [t * sq for sq in squares]
+    shift = max(exps)
+    acc = sum(w * math.exp(e - shift) for w, e in zip(weights, exps))
+    return shift + math.log(acc)
+
+
 def free_energy_limit(nu: RadialLaw, params: StructureParams, t: float) -> float:
     """Limiting free energy c(t) = ln of the atomic mean of exp(t s^2)."""
     _require_rank_one(params, "the free energy")
-    exps = [t * float(np.real(a.array[0, 0])) ** 2 for a in nu.atoms]
-    shift = max(exps)
-    acc = sum(w * math.exp(e - shift) for w, e in zip(nu.weights, exps))
-    return shift + math.log(acc)
+    return _free_energy(nu.weights, _atom_squares(nu), t)
 
 
 def rate_function(
@@ -392,8 +402,10 @@ def rate_function(
     if not t_lo < t_hi:
         raise DomainError("need t_lo < t_hi")
 
+    squares = _atom_squares(nu)
+
     def g(t: float) -> float:
-        return s * t - free_energy_limit(nu, params, t)
+        return s * t - _free_energy(nu.weights, squares, t)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = t_lo, t_hi

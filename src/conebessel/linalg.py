@@ -196,8 +196,17 @@ class ConeMatrix(HermitianMatrix):
         return self.eigs
 
     def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.array))
+        """Frobenius norm; finite whenever it is representable."""
+        if self.eigs[0] < 1e150:
+            # no entry exceeds the top eigenvalue, so no square overflows
+            return float(np.linalg.norm(self.array))
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(self.array)
+        if np.isfinite(plain):
+            return float(plain)
+        # the sum of squares overflowed: scale by the largest entry
+        top = np.max(np.abs(self.array))
+        return float(top * np.linalg.norm(self.array / top))
 
     def is_zero(self) -> bool:
         return not np.any(self.array)

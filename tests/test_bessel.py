@@ -12,6 +12,7 @@ from scipy import integrate, special
 
 from conebessel.bessel import (
     _poisson_tail,
+    _series_from_eigs,
     bessel_classical,
     bessel_integral_mc,
     bessel_series,
@@ -57,6 +58,21 @@ def test_series_raises_with_achieved_bound_when_capped():
     with pytest.raises(ConvergenceError) as err:
         bessel_series(2.0, np.array([[40.0]]), params, max_weight=5)
     assert err.value.achieved_bound > 0.0
+
+
+def test_batch_tail_is_checked_at_the_largest_point_first():
+    # the largest tr|x| sits in the middle row; the stopping weight and the
+    # returned tails are those of the full batch evaluated after each layer
+    params = StructureParams(q=2, d=1, mu=3.0)
+    eigs = np.array([[0.5, -0.25], [0.1, 0.0], [-4.0, 3.0], [1.0, 1.0], [0.0, 0.0]])
+    s = np.abs(eigs).sum(axis=1) / 3.0
+    floor = 2.0 ** 1
+    stop = next(k for k in range(31) if np.max(floor * _poisson_tail(k, s)) <= 1e-10)
+    _, tail = _series_from_eigs(3.0, eigs, params)
+    assert tail.tobytes() == (floor * _poisson_tail(stop, s)).tobytes()
+    with pytest.raises(ConvergenceError) as err:
+        _series_from_eigs(3.0, eigs, params, max_weight=stop - 1)
+    assert err.value.achieved_bound == float(np.max(floor * _poisson_tail(stop - 1, s)))
 
 
 def test_series_refuses_a_non_finite_partial_sum():
@@ -189,3 +205,23 @@ def test_poisson_tail_matches_brute_force():
                 brute += term
             got = float(_poisson_tail(k, np.asarray([s]))[0])
             assert got == pytest.approx(brute, rel=1e-10, abs=1e-300)
+
+
+# SHA-256 of the seeded bessel CSVs below the config-hash line (which hashes
+# the output path), recorded before the series shared one power table
+# across its layers; every byte must stay the same.
+_BESSEL_DIGESTS = {
+    (1, 1): "2a8a8e95008523526806250554487843a3d01d58202d7ece5b9ed6d5039a4bfb",
+    (2, 1): "6bf66d128dbb0b45a8d70ed77154d76ac6ff27eb0a94248b0272087baa887e25",
+    (2, 2): "32304b94ad3ea6838781ca69c3a0d2eb2e455f7e872561fd14c5864e0da09b95",
+    (3, 1): "e36ac37f3d5d663ee83eedd9a1f3ec1c22a9ae35023b571e4e1e9778abfecedd",
+    (3, 2): "5bcb3651b8647e9522704b69dae87557e88637c8829125274c761ecc9c33cb5b",
+}
+
+
+@pytest.mark.parametrize("q, d", sorted(_BESSEL_DIGESTS))
+def test_bessel_csv_matches_pinned_digest(csv_digest, q, d):
+    # q = 1 includes the classical column; x up to 6 takes q = 3 past weight 16
+    argv = ["bessel", "--q", str(q), "--d", str(d), "--mu", "12", "--grid", "0:6:0.75",
+            "--n-samples", "3000", "--seed", "23"]
+    assert csv_digest(argv) == _BESSEL_DIGESTS[(q, d)]

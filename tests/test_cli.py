@@ -250,6 +250,19 @@ def test_overflowing_walk_exits_two_without_csv(tmp_path, capsys):
     assert not (tmp_path / "walk.csv").exists()
 
 
+def test_walk_norm_of_a_huge_state_is_finite(tmp_path, capsys):
+    # the sum of squares overflows; the norm column must not read inf
+    argv = ["walk", "--q", "1", "--mu", "6", "--atoms", "1e200", "--steps", "1",
+            "--replicates", "1", "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    row = (tmp_path / "walk.csv").read_text().splitlines()[4]
+    assert row == "0,1,9.9999999999999997e+199,9.9999999999999997e+199,9.9999999999999997e+199"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

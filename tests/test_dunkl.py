@@ -141,3 +141,18 @@ def test_chamber_average_guards():
     with pytest.raises(DomainError):
         # mu must exceed 2 rho for the integrand series
         bessel_B_mc(xi, eta, StructureParams(q=1, d=1, mu=2.0), 10, substream(22, "b", 3))
+
+
+# SHA-256 of the seeded dunkl CSVs below the config-hash line, recorded
+# before the series shared one power table across its layers.
+_DUNKL_DIGESTS = {
+    1: "014f25a3520c5dc85080d31511d1da2e33dd9d40260e56c10ce3ed55ff26d7d6",
+    2: "4b83dec1eaac04ee304bbbe4c98f0bd428b22c30636c7f33e1f8bd608502d9c0",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_DUNKL_DIGESTS))
+def test_dunkl_csv_matches_pinned_digest(csv_digest, d):
+    argv = ["dunkl", "--q", "3", "--d", str(d), "--grid", "16,64", "--n-samples", "300",
+            "--seed", "17"]
+    assert csv_digest(argv) == _DUNKL_DIGESTS[d]

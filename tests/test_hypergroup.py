@@ -1,15 +1,12 @@
 """Convolution sampling on the cone and the two walk constructions."""
 
-import contextlib
-import hashlib
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conebessel import cli, hypergroup
+from conebessel import hypergroup
 from conebessel.errors import DimensionError, DomainError, SamplingError
 from conebessel.hypergroup import (
     RadialLaw,
@@ -264,25 +261,18 @@ _WALK_DIGESTS = {
 _LDP_DIGEST = "77e3796f2c8f5e9a2ae1b287144db7ecc82b4ea74c2595b388f7a88e980ce4da"
 
 
-def _csv_digest(argv, out) -> str:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([*argv, "--out", str(out)]) == 0
-    text = (out / f"{argv[0]}.csv").read_text(encoding="utf-8")
-    return hashlib.sha256(text.split("\n", 1)[1].encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize("q, d, mu", sorted(_WALK_DIGESTS))
-def test_walk_csv_matches_pinned_digest(tmp_path, q, d, mu):
+def test_walk_csv_matches_pinned_digest(csv_digest, q, d, mu):
     first = ",".join(f"{1.0 - 0.2 * i:g}" for i in range(q))
     last = ",".join(f"{0.5 + 0.1 * i:g}" for i in range(q))
     zero = ",".join(["0"] * q)
     argv = ["walk", "--q", str(q), "--d", str(d), "--mu", repr(mu), "--steps", "6",
             "--replicates", "4", "--atoms", f"{first};{zero};{last}",
             "--weights", "0.4,0.3,0.3", "--seed", "41"]
-    assert _csv_digest(argv, tmp_path) == _WALK_DIGESTS[(q, d, mu)]
+    assert csv_digest(argv) == _WALK_DIGESTS[(q, d, mu)]
 
 
-def test_ldp_csv_matches_pinned_digest(tmp_path):
+def test_ldp_csv_matches_pinned_digest(csv_digest):
     argv = ["ldp", "--q", "1", "--d", "2", "--atoms", "0.3;1", "--weights", "0.5,0.5",
             "--k-max", "6", "--t-values=-1,1", "--replicates", "30", "--seed", "6"]
-    assert _csv_digest(argv, tmp_path) == _LDP_DIGEST
+    assert csv_digest(argv) == _LDP_DIGEST

@@ -13,18 +13,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from conebessel.errors import DomainError
 from conebessel.jack import (
     Partition,
+    _get_table,
     gen_pochhammer,
-    jack_C,
     layer_values,
+    layers,
     partitions_of_weight,
-    zonal_Z,
 )
-from conebessel.linalg import StructureParams
 
 POINT = np.array([1.0, 0.5, 0.25, 0.125])
 
@@ -117,18 +118,20 @@ FROZEN_C = {
 }
 
 
+def _jack_C(lam, alpha):
+    """C_lambda^alpha at POINT: its row of the weight-|lambda| layer."""
+    parts, vals = layer_values(alpha, POINT.size, sum(lam), POINT[None, :])
+    return float(vals[parts.index(Partition(lam)), 0])
+
+
 @pytest.mark.parametrize("alpha", sorted(FROZEN_C))
 def test_jack_C_matches_frozen_oracle(alpha):
     for lam, want in FROZEN_C[alpha].items():
-        got = jack_C(Partition(lam), alpha, POINT)
-        assert got == pytest.approx(want, rel=1e-12), (alpha, lam)
+        assert _jack_C(lam, alpha) == pytest.approx(want, rel=1e-12), (alpha, lam)
 
 
 def test_jack_C_alpha_as_fraction_matches_float():
-    lam = Partition((3, 1))
-    assert jack_C(lam, Fraction(1, 2), POINT) == pytest.approx(
-        jack_C(lam, 0.5, POINT), rel=1e-14
-    )
+    assert _jack_C((3, 1), Fraction(1, 2)) == pytest.approx(_jack_C((3, 1), 0.5), rel=1e-14)
 
 
 def test_layer_sums_to_trace_power():
@@ -146,6 +149,62 @@ def test_layer_values_shapes():
     parts, vals = layer_values(1.0, 2, 3, np.ones((5, 2)))
     assert [tuple(p) for p in parts] == [(3,), (2, 1)]
     assert vals.shape == (2, 5)
+    with pytest.raises(DomainError):
+        layer_values(1.0, 2, 0, np.ones((5, 2)))
+
+
+def _reference_layer(alpha, q, k, xi):
+    """Weight-k layer with its own powers xi ** (0..k), each monomial term a
+    gathered row product: the evaluation before layers shared one table."""
+    parts, coeff, expo = _get_table(alpha, q).layer(k)
+    powers = xi[:, :, None] ** np.arange(k + 1)
+    cols = np.arange(q)
+    mvals = np.empty((len(expo), xi.shape[0]))
+    for r, perms in enumerate(expo):
+        acc = np.zeros(xi.shape[0])
+        for perm in perms:
+            acc += powers[:, cols, perm].prod(axis=1)
+        mvals[r] = acc
+    return parts, coeff @ mvals
+
+
+def _assert_layers_match_reference(alpha, q, xi):
+    # weight 20 takes the shared table past its extension from 16 to 32 exponents
+    for k, (parts, vals) in zip(range(1, 21), layers(alpha, q, xi)):
+        want_parts, want = _reference_layer(alpha, q, k, xi)
+        assert parts == want_parts
+        assert vals.shape == want.shape
+        assert vals.tobytes() == want.tobytes(), (q, k)
+
+
+@st.composite
+def _eig_batches(draw):
+    # generic floats of both signs, some of them zero (the sign-bound
+    # criterion evaluates at -eigs)
+    q = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xi = rng.standard_normal((n, q)) * draw(st.sampled_from([0.3, 1.0, 4.0]))
+    xi[rng.random((n, q)) < 0.2] = 0.0
+    return q, xi
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=_eig_batches(), alpha=st.sampled_from([0.5, 1.0, 2.0]))
+def test_layers_match_per_weight_powers_bit_for_bit(batch, alpha):
+    q, xi = batch
+    _assert_layers_match_reference(alpha, q, xi)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_layers_match_per_weight_powers_on_a_large_batch(q):
+    # with the batch axis innermost, numpy squares a batch this large by
+    # x * x, which differs from its pow in a few percent of the entries
+    # (small batches do not show it); the shared table must keep to pow
+    rng = np.random.default_rng(40 + q)
+    xi = rng.standard_normal((4000, q))
+    xi[:50] = 0.0
+    _assert_layers_match_reference(2.0 / q, q, xi)
 
 
 # ---------------------------------------------------------------- partitions
@@ -219,28 +278,3 @@ def test_gen_pochhammer_column_shifts_by_inverse_alpha():
     )
     with pytest.raises(DomainError):
         gen_pochhammer(2.0, (1,), 0.0)
-
-
-# ------------------------------------------------------------------ zonal
-
-
-def test_zonal_matches_jack_at_eigenvalues():
-    params = StructureParams(q=2, d=2, mu=5.0)
-    x = np.array([[2.0, 1.0j], [-1.0j, 1.0]])
-    eigs = np.linalg.eigvalsh(x)[::-1]
-    lam = Partition((2, 1))
-    assert zonal_Z(lam, x, params) == pytest.approx(
-        jack_C(lam, 1.0, eigs), rel=1e-12
-    )
-
-
-def test_zonal_rejects_wrong_shape():
-    params = StructureParams(q=2, d=1, mu=5.0)
-    with pytest.raises(DomainError):
-        zonal_Z(Partition((1,)), np.eye(3), params)
-
-
-def test_jack_C_rejects_too_many_parts():
-    with pytest.raises(DomainError):
-        jack_C(Partition((1, 1, 1)), 2.0, np.array([1.0, 2.0]))
-    assert jack_C(Partition(()), 2.0, np.array([1.0, 2.0])) == 1.0
