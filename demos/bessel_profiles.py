@@ -26,6 +26,6 @@ print()
 print("same flattening through theorem1_gap, normalized by its envelope:")
 params = StructureParams(q=2, d=2, mu=64.0)
 for mu in (32.0, 64.0, 128.0):
-    gap, env = theorem1_gap(mu, Y, params.with_mu(mu), max_weight=80)
+    gap, env = theorem1_gap(mu, Y, params.with_mu(mu))
     print(f"  mu = {mu:5.0f}   gap / envelope = {gap / env:8.4f}")
 print("the ratio staying O(1) is the content of the envelope bound")

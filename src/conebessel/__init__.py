@@ -53,7 +53,6 @@ _EXPORTS = {
     "exp_conjugation_mc": "dunkl",
     # seed discipline
     "substream": "seeds",
-    "label_words": "seeds",
     # limit-theorem experiments
     "Schedule": "limits",
     "ConditionDiagnostic": "limits",

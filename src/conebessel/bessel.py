@@ -39,12 +39,69 @@ from .linalg import HermitianMatrix, StructureParams, _as_array, _ball_draw, _ba
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_WEIGHT = 30
+_CLASSICAL_TOL = 1e-12
+_CLASSICAL_MAX_TERMS = 300
+# theorem1_gap's argument mu * y needs more weights than the default
+_GAP_TOL = 1e-9
+_GAP_MAX_WEIGHT = 80
 
 
 def _poisson_tail(k: int, s: np.ndarray) -> np.ndarray:
     """sum_{j > k} s^j / j!  for s >= 0, via the regularized incomplete gamma."""
     with np.errstate(over="ignore"):
         return np.exp(s) * special.gammainc(k + 1, s)
+
+
+def _certified_sum(terms, s: np.ndarray, tol: float, max_weight: int, name: str,
+                   partial: str | None = None, floor: float = 1.0):
+    """1 + the weight-1, 2, ... terms of a batch of series, stopped by the
+    scalar Poisson tail.
+
+    terms yields, for k = 1, 2, ..., the weight-k term at every point of
+    the batch; s holds one tail argument per point, so that everything
+    beyond weight K is at most floor * sum_{j>K} s^j / j!.  Returns
+    (partial sums, certified tail bounds) at the first K whose bound is
+    within tol at every point, and raises ConvergenceError (named `name`,
+    or `partial` for a partial sum) on a non-finite partial sum or when
+    max_weight is reached first.
+    """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    top = int(np.argmax(s))
+
+    def certified(k):
+        # the tail grows with s, so the batch misses tol whenever its
+        # largest-s point does; the whole batch is evaluated only once that
+        # point passes, with slack for a one-point evaluation's rounding
+        tail = floor * _poisson_tail(k, s[top : top + 1])
+        if tail[0] > tol * (1.0 + 1e-9):
+            return None
+        if s.size > 1:
+            tail = floor * _poisson_tail(k, s)
+        return tail if np.max(tail) <= tol else None
+
+    total = np.ones(s.shape)
+    tail = certified(0)
+    if tail is not None:
+        return total, tail
+    for k in range(1, max_weight + 1):
+        # an overflow here is caught by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += next(terms)
+        if not np.all(np.isfinite(total)):
+            raise ConvergenceError(
+                f"{partial or name + ' partial sum'} is not finite at weight {k}",
+                achieved_bound=math.inf,
+            )
+        tail = certified(k)
+        if tail is not None:
+            return total, tail
+    achieved = float(np.max(floor * _poisson_tail(max(max_weight, 0), s)))
+    raise ConvergenceError(
+        f"{name} not certified to {tol:.2e} within weight {max_weight}; "
+        f"achieved bound {achieved:.2e}",
+        achieved_bound=achieved,
+    )
 
 
 def _series_from_eigs(
@@ -63,54 +120,23 @@ def _series_from_eigs(
         raise DomainError(
             f"series index mu={mu} must exceed rho - 1 = {params.rho - 1.0}"
         )
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 2 or eigs.shape[1] != params.q:
         raise DimensionError(f"expected eigenvalue batch of shape (n, {params.q})")
-    q, d = params.q, params.d
-    poch_floor = 2.0 ** (d * q * (q - 1) / 2.0)
+    alpha = params.alpha
+
+    def terms():
+        sign = 1.0
+        inv_fact = 1.0
+        for k, (parts, vals) in enumerate(layers(alpha, params.q, eigs), start=1):
+            sign = -sign
+            inv_fact /= k
+            poch = np.array([gen_pochhammer(mu, lam, alpha) for lam in parts])
+            yield sign * inv_fact * (vals / poch[:, None]).sum(axis=0)
+
     s = np.abs(eigs).sum(axis=1) / mu
-    top = int(np.argmax(s))
-
-    def certified(k):
-        # the tail grows with s, so the batch misses tol whenever its
-        # largest-s point does; the whole batch is evaluated only once that
-        # point passes, with slack for a one-point evaluation's rounding
-        if poch_floor * _poisson_tail(k, s[top : top + 1])[0] > tol * (1.0 + 1e-9):
-            return None
-        tail = poch_floor * _poisson_tail(k, s)
-        return tail if np.max(tail) <= tol else None
-
-    total = np.ones(eigs.shape[0])
-    tail = certified(0)
-    if tail is not None:
-        return total, tail
-    series = layers(params.alpha, q, eigs)
-    sign = 1.0
-    inv_fact = 1.0
-    for k in range(1, max_weight + 1):
-        sign = -sign
-        inv_fact /= k
-        # an overflow here is caught by the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            parts, vals = next(series)
-            poch = np.array([gen_pochhammer(mu, lam, params.alpha) for lam in parts])
-            layer = (vals / poch[:, None]).sum(axis=0)
-            total += sign * inv_fact * layer
-        if not np.all(np.isfinite(total)):
-            raise ConvergenceError(
-                f"Bessel series partial sum is not finite at weight {k}", achieved_bound=math.inf
-            )
-        tail = certified(k)
-        if tail is not None:
-            return total, tail
-    achieved = float(np.max(poch_floor * _poisson_tail(max(max_weight, 0), s)))
-    raise ConvergenceError(
-        f"Bessel series not certified to {tol:.2e} within weight {max_weight}; "
-        f"achieved bound {achieved:.2e}",
-        achieved_bound=achieved,
-    )
+    poch_floor = 2.0 ** (params.d * params.q * (params.q - 1) / 2.0)
+    return _certified_sum(terms(), s, tol, max_weight, "Bessel series", floor=poch_floor)
 
 
 def bessel_series(
@@ -134,29 +160,30 @@ def bessel_series(
     return float(vals[0]), float(tails[0])
 
 
-def bessel_classical(kappa: float, z: float, tol: float = 1e-12, max_terms: int = 300):
+def bessel_classical(kappa: float, z: float):
     """One-variable normalized Bessel function 0F1(kappa+1; -z^2/4).
 
-    Returns (value, tail_bound); the tail is certified by the geometric
-    ratio once the term ratio drops below one.  kappa = -1/2 reproduces
-    cos z.  Requires kappa > -1 so every Pochhammer factor is positive.
+    Returns (value, tail_bound) with the tail within 1e-12; the tail is
+    certified by the geometric ratio once the term ratio drops below one,
+    and ConvergenceError is raised if that takes more than 300 terms.
+    kappa = -1/2 reproduces cos z.  Requires kappa > -1 so every
+    Pochhammer factor is positive.
     """
     if kappa <= -1.0:
         raise DomainError(f"kappa must exceed -1, got {kappa}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     w = z * z / 4.0
     total = 1.0
     term = 1.0
-    for n in range(max_terms):
+    for n in range(_CLASSICAL_MAX_TERMS):
         ratio_next = w / ((kappa + 1 + n) * (n + 1))
         bound_ratio = w / ((kappa + 2 + n) * (n + 2))
-        if abs(term) * ratio_next <= tol * (1.0 - bound_ratio) and bound_ratio < 1.0:
+        if abs(term) * ratio_next <= _CLASSICAL_TOL * (1.0 - bound_ratio) and bound_ratio < 1.0:
             return total, abs(term) * ratio_next / (1.0 - bound_ratio)
         term *= -w / ((kappa + 1 + n) * (n + 1))
         total += term
     raise ConvergenceError(
-        f"classical Bessel series not certified to {tol:.2e} in {max_terms} terms",
+        f"classical Bessel series not certified to {_CLASSICAL_TOL:.2e} in "
+        f"{_CLASSICAL_MAX_TERMS} terms",
         achieved_bound=abs(term),
     )
 
@@ -294,13 +321,7 @@ def bessel_integral_mc(mu: float, x, params: StructureParams, n_samples: int, rn
     return r_re, se_re
 
 
-def theorem1_gap(
-    mu: float,
-    y,
-    params: StructureParams,
-    tol: float = 1e-9,
-    max_weight: int = 80,
-):
+def theorem1_gap(mu: float, y, params: StructureParams):
     """Distance of J_mu(mu y) from its rank-independent limit e^{-tr y}.
 
     Returns (gap, envelope) with envelope = min(1, (tr y)^2) / mu; the
@@ -314,7 +335,7 @@ def theorem1_gap(
     if np.min(eigs) < -1e-10 * (1.0 + float(np.max(np.abs(eigs)))):
         raise DomainError("y must be positive semidefinite")
     tr = float(eigs.sum())
-    vals, _ = _series_from_eigs(mu, mu * eigs[None, :], params, tol, max_weight)
+    vals, _ = _series_from_eigs(mu, mu * eigs[None, :], params, _GAP_TOL, _GAP_MAX_WEIGHT)
     gap = abs(float(vals[0]) - math.exp(-tr))
     envelope = min(1.0, tr * tr) / mu
     return gap, envelope

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -492,50 +493,68 @@ _HANDLERS = {
 }
 
 
+# each subcommand takes the common flags plus exactly the ones its run reads
+_COMMON_FLAGS = "--config --seed --out --threads --q --d"
+_SUBCOMMANDS = {
+    "bessel": ("evaluate the matrix Bessel function on a grid",
+               "--mu --grid --n-samples --series-tol --max-weight"),
+    "dunkl": ("chamber kernel values and flat-limit gaps",
+              "--grid --n-samples --series-tol --max-weight --xi --eta"),
+    "walk": ("simulate cone walks to CSV", "--mu --replicates --weights --atoms --steps"),
+    "lln": ("weak-law tail probabilities",
+            "--grid --replicates --weights --atoms --mu-family --mu-c --mu-b --epsilon"),
+    "slln": ("strong-law single-path deviations",
+             "--weights --atoms --mu-family --mu-c --mu-b --n-family --n-c --n-b --k-max"),
+    "ldp": ("free energy and rate function",
+            "--grid --replicates --weights --atoms --mu-family --mu-c --mu-b "
+            "--n-family --n-c --n-b --k-max --t-values"),
+}
+
+_FLAG_SPECS = {
+    "--config": dict(help="flat JSON config file"),
+    "--seed": dict(type=int, help="master seed (unsigned 64-bit)"),
+    "--out": dict(help="output directory"),
+    "--threads": dict(help="BLAS thread count (or CONEBESSEL_THREADS)"),
+    "--q": dict(type=int, help="matrix rank"),
+    "--d": dict(type=int, choices=(1, 2), help="field dimension: 1 real, 2 complex"),
+    "--mu": dict(type=float, help="cone index"),
+    "--grid": dict(help='abscissa grid, "start:stop:step" or comma list'),
+    "--replicates": dict(type=int),
+    "--n-samples": dict(type=int, help="Monte Carlo sample count"),
+    "--series-tol": dict(type=float),
+    "--max-weight": dict(type=int),
+    "--weights": dict(help="comma list of atom weights"),
+    "--atoms": dict(help="atom diagonals: entries comma-separated, atoms ';'-separated"),
+    "--mu-family": dict(choices=("poly", "pow2")),
+    "--mu-c": dict(type=float),
+    "--mu-b": dict(type=float),
+    "--n-family": dict(choices=("poly", "polylog")),
+    "--n-c": dict(type=float),
+    "--n-b": dict(type=float),
+    "--k-max": dict(type=int),
+    "--xi": dict(help="comma list, strictly positive decreasing"),
+    "--eta": dict(help="comma list, strictly positive decreasing"),
+    "--steps": dict(type=int, help="steps per path"),
+    "--epsilon": dict(type=float, help="deviation threshold"),
+    "--t-values": dict(help="comma list of tilt parameters"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat JSON config file")
-    common.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--threads", help="BLAS thread count (or CONEBESSEL_THREADS)")
-    common.add_argument("--q", type=int, help="matrix rank")
-    common.add_argument("--d", type=int, choices=(1, 2), help="field dimension: 1 real, 2 complex")
-    common.add_argument("--mu", type=float, help="cone index")
-    common.add_argument("--grid", help='abscissa grid, "start:stop:step" or comma list')
-    common.add_argument("--replicates", type=int)
-    common.add_argument("--n-samples", dest="n_samples", type=int, help="Monte Carlo sample count")
-    common.add_argument("--series-tol", dest="series_tol", type=float)
-    common.add_argument("--max-weight", dest="max_weight", type=int)
-    common.add_argument("--weights", help="comma list of atom weights")
-    common.add_argument("--atoms", help="atom diagonals: entries comma-separated, atoms ';'-separated")
-
-    sched = argparse.ArgumentParser(add_help=False)
-    sched.add_argument("--mu-family", dest="mu_family", choices=("poly", "pow2"))
-    sched.add_argument("--mu-c", dest="mu_c", type=float)
-    sched.add_argument("--mu-b", dest="mu_b", type=float)
-    sched.add_argument("--n-family", dest="n_family", choices=("poly", "polylog"))
-    sched.add_argument("--n-c", dest="n_c", type=float)
-    sched.add_argument("--n-b", dest="n_b", type=float)
-    sched.add_argument("--k-max", dest="k_max", type=int)
-
+    """The command-line parser, built once per process: each build leaves
+    a reference cycle that only the cyclic garbage collector frees."""
     parser = argparse.ArgumentParser(
         prog="conebessel",
         description="Matrix-cone Bessel functions, radial walks, and their limit theorems.",
     )
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("bessel", parents=[common], help="evaluate the matrix Bessel function on a grid")
-    dunkl = sub.add_parser("dunkl", parents=[common], help="chamber kernel values and flat-limit gaps")
-    dunkl.add_argument("--xi", help="comma list, strictly positive decreasing")
-    dunkl.add_argument("--eta", help="comma list, strictly positive decreasing")
-    walk = sub.add_parser("walk", parents=[common], help="simulate cone walks to CSV")
-    walk.add_argument("--steps", type=int, help="steps per path")
-    lln = sub.add_parser("lln", parents=[common, sched], help="weak-law tail probabilities")
-    lln.add_argument("--epsilon", type=float, help="deviation threshold")
-    sub.add_parser("slln", parents=[common, sched], help="strong-law single-path deviations")
-    ldp = sub.add_parser("ldp", parents=[common, sched], help="free energy and rate function")
-    ldp.add_argument("--t-values", dest="t_values", help="comma list of tilt parameters")
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for flag in f"{_COMMON_FLAGS} {flags}".split():
+            cmd.add_argument(flag, **_FLAG_SPECS[flag])
     check = sub.add_parser("check", help="run the acceptance suite")
-    check.add_argument("--threads", help="BLAS thread count (or CONEBESSEL_THREADS)")
+    check.add_argument("--threads", **_FLAG_SPECS["--threads"])
     return parser
 
 

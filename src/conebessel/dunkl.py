@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError, IllConditionedError
+from .errors import DimensionError, DomainError, IllConditionedError
 from .jack import (
     layer_values,  # noqa: F401  (looked up here by the perfbench span recorder)
     layers,
 )
-from .bessel import DEFAULT_MAX_WEIGHT, _mc_mean_se, _poisson_tail, _series_from_eigs
+from .bessel import DEFAULT_MAX_WEIGHT, _certified_sum, _mc_mean_se, _series_from_eigs
 from .linalg import StructureParams, _haar_batch
 
 
@@ -115,35 +115,23 @@ def hyper_0F0(
     e = np.asarray(eta, dtype=float).reshape(-1)
     if x.size != e.size:
         raise DimensionError("xi and eta must have the same length")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     q = x.size
     s = min(
         np.abs(x).sum() * (np.abs(e).max() if e.size else 0.0),
         np.abs(e).sum() * (np.abs(x).max() if x.size else 0.0),
     )
-    total = 1.0
-    tail = float(_poisson_tail(0, np.asarray([s]))[0])
-    if tail <= tol:
-        return total, tail
-    lx, le, l1 = (layers(alpha, q, v) for v in (x[None, :], e[None, :], np.ones((1, q))))
-    inv_fact = 1.0
-    for k in range(1, max_weight + 1):
-        inv_fact /= k
-        (_, vx), (_, ve), (_, v1) = next(lx), next(le), next(l1)
-        total += inv_fact * float((vx[:, 0] * ve[:, 0] / v1[:, 0]).sum())
-        if not math.isfinite(total):
-            raise ConvergenceError(
-                f"0F0 partial sum is not finite at weight {k}", achieved_bound=math.inf
-            )
-        tail = float(_poisson_tail(k, np.asarray([s]))[0])
-        if tail <= tol:
-            return total, tail
-    raise ConvergenceError(
-        f"0F0 series not certified to {tol:.2e} within weight {max_weight}; "
-        f"achieved bound {tail:.2e}",
-        achieved_bound=tail,
+
+    def terms():
+        lx, le, l1 = (layers(alpha, q, v) for v in (x[None, :], e[None, :], np.ones((1, q))))
+        inv_fact = 1.0
+        for k, ((_, vx), (_, ve), (_, v1)) in enumerate(zip(lx, le, l1), start=1):
+            inv_fact /= k
+            yield inv_fact * float((vx[:, 0] * ve[:, 0] / v1[:, 0]).sum())
+
+    total, tail = _certified_sum(
+        terms(), np.asarray([s]), tol, max_weight, "0F0 series", partial="0F0 partial sum"
     )
+    return float(total[0]), float(tail[0])
 
 
 def _vandermonde(z: np.ndarray) -> float:

@@ -7,9 +7,9 @@ The convolution of two point masses delta_r and delta_s is the law of
 
 which interpolates, as mu grows, between genuinely spread-out laws and the
 deterministic Pythagorean sum.  For mu = p d / 2 with integer p the same
-law arises from sums of p x q matrices with uniformly rotated singular
-frame ("orbit" walks), which gives an independent simulation path used by
-the tests.
+law arises as the radial part of sums of p x q matrices with uniformly
+rotated frames; tests/orbit_oracle.py simulates that picture as an
+independent check of this module.
 
 Replicate walks run as a batch (walk_batch): each keeps its own random
 stream, and one kernel step advances all of them with stacked arithmetic.
@@ -26,13 +26,10 @@ import numpy as np
 from .errors import DimensionError, DomainError, SamplingError
 from .linalg import (
     ConeMatrix,
-    RectMatrix,
     StructureParams,
     _ball_draw,
     _ball_weigh,
     _psd_sqrt_stack,
-    haar_unitary,
-    phi_p,
     psd_sqrt,  # noqa: F401  (looked up here by the perfbench span recorder)
 )
 
@@ -206,30 +203,3 @@ def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng) -> 
     one-stream case of walk_batch.
     """
     return tuple(states[0] for states in walk_batch(nu, params, n_steps, [rng]))
-
-
-def radial_matrix_sample(nu: RadialLaw, p: int, params: StructureParams, rng) -> RectMatrix:
-    """p x q matrix with uniformly rotated frame and radial part drawn from nu."""
-    if p < params.q:
-        raise DimensionError(f"need p >= q, got p={p}, q={params.q}")
-    atom = nu.atoms[nu.sample_index(rng)]
-    iota = np.zeros((p, params.q), dtype=params.dtype)
-    iota[: params.q, :] = atom.array
-    u = haar_unitary(p, params.d, rng)
-    return RectMatrix(u @ iota)
-
-
-def orbit_walk_simulate(nu: RadialLaw, p: int, params: StructureParams, n_steps: int, rng) -> tuple:
-    """Radial parts of partial sums of independent rotated-frame matrices.
-
-    For mu = p d / 2 this has the same law, step by step, as walk_simulate,
-    and is returned the same way: a tuple of ConeMatrix starting at zero.
-    """
-    if n_steps < 0:
-        raise DomainError("n_steps must be nonnegative")
-    total = np.zeros((p, params.q), dtype=params.dtype)
-    steps = [ConeMatrix(np.zeros((params.q, params.q), dtype=params.dtype))]
-    for _ in range(n_steps):
-        total = total + radial_matrix_sample(nu, p, params, rng).array
-        steps.append(phi_p(total))
-    return tuple(steps)

@@ -33,6 +33,11 @@ HEURISTIC_NOTE = "finite-k diagnostic, not a proof of the limit"
 
 _LN10 = math.log(10.0)
 
+# strong-law schedules are checked for divergence out to this k at least
+_DIAGNOSTIC_HORIZON = 100_000
+# the rate function's supremum over t is searched on this interval
+_T_LO, _T_HI = -60.0, 60.0
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -284,20 +289,19 @@ def slln_experiment(
     schedule: Schedule,
     k_max: int,
     master_seed: int,
-    diagnostic_horizon: int = 100_000,
 ) -> ExperimentReport:
     """Single-path strong-law deviations along a schedule.
 
     For each k <= k_max, simulate one fresh n_k-step walk at index mu_k
     and record d_k = ||S_{n_k}/sqrt(n_k) - sqrt(second moment)||, plus the
     running supremum of deviations from k onward.  The schedule must pass
-    the three divergence diagnostics (checked out to diagnostic_horizon);
+    the three divergence diagnostics (checked out to k = 100,000);
     the report embeds those diagnostics.  Almost-sure convergence is not
     testable; this is trend evidence only.
     """
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    diags = schedule_conditions(schedule, max(k_max, diagnostic_horizon))
+    diags = schedule_conditions(schedule, max(k_max, _DIAGNOSTIC_HORIZON))
     bad = [d.name for d in diags if d.verdict != "diverging"]
     if bad:
         raise DomainError(
@@ -386,21 +390,14 @@ def free_energy_limit(nu: RadialLaw, params: StructureParams, t: float) -> float
     return _free_energy(nu.weights, _atom_squares(nu), t)
 
 
-def rate_function(
-    nu: RadialLaw,
-    params: StructureParams,
-    s: float,
-    t_lo: float = -60.0,
-    t_hi: float = 60.0,
-) -> float:
+def rate_function(nu: RadialLaw, params: StructureParams, s: float) -> float:
     """Legendre transform I(s) = sup_t (s t - c(t)) by golden-section
-    search (the objective is concave).  Returns math.inf when the
-    supremum runs into a search bound with positive outward slope;
-    clamped below at 0, which the exact supremum attains at t = 0.
+    search over -60 <= t <= 60 (the objective is concave).  Returns
+    math.inf when the supremum runs into a search bound with positive
+    outward slope; clamped below at 0, which the exact supremum attains
+    at t = 0.
     """
     _require_rank_one(params, "the rate function")
-    if not t_lo < t_hi:
-        raise DomainError("need t_lo < t_hi")
 
     squares = _atom_squares(nu)
 
@@ -408,7 +405,7 @@ def rate_function(
         return s * t - _free_energy(nu.weights, squares, t)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = t_lo, t_hi
+    a, b = _T_LO, _T_HI
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     gc, gd = g(c), g(d)
@@ -422,10 +419,10 @@ def rate_function(
             d = a + inv_phi * (b - a)
             gd = g(d)
     t_star = (a + b) / 2.0
-    width = t_hi - t_lo
+    width = _T_HI - _T_LO
     h = 1e-7 * max(1.0, abs(t_star))
-    if t_hi - t_star < 1e-6 * width and g(t_hi) - g(t_hi - h) > 0:
+    if _T_HI - t_star < 1e-6 * width and g(_T_HI) - g(_T_HI - h) > 0:
         return math.inf
-    if t_star - t_lo < 1e-6 * width and g(t_lo) - g(t_lo + h) > 0:
+    if t_star - _T_LO < 1e-6 * width and g(_T_LO) - g(_T_LO + h) > 0:
         return math.inf
     return max(g(t_star), 0.0)

@@ -77,7 +77,7 @@ class StructureParams:
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, (HermitianMatrix, RectMatrix)):
+    if isinstance(x, HermitianMatrix):
         return x.array
     return np.asarray(x)
 
@@ -121,8 +121,8 @@ class HermitianMatrix:
 
     def __init__(self, array):
         a = np.asarray(_as_array(array))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise DimensionError(f"expected a nonempty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise DomainError("matrix entries must be finite")
         # both norms taken after dividing by the largest entry, so that
@@ -212,31 +212,6 @@ class ConeMatrix(HermitianMatrix):
         return not np.any(self.array)
 
 
-class RectMatrix:
-    """Rectangular p x q matrix over the field, finite entries."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array):
-        a = np.asarray(_as_array(array))
-        if a.ndim != 2:
-            raise DimensionError(f"expected a 2-d array, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix entries must be finite")
-        object.__setattr__(self, "array", a.copy())
-
-    @property
-    def p(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.array.shape[1]
-
-    def __repr__(self):
-        return f"RectMatrix(p={self.p}, q={self.q})"
-
-
 def psd_sqrt(a) -> ConeMatrix:
     """Unique PSD square root of a PSD matrix."""
     c = a if isinstance(a, ConeMatrix) else ConeMatrix(a)
@@ -269,31 +244,14 @@ def _psd_sqrt_stack(m: np.ndarray) -> list:
     return out
 
 
-def phi_p(x) -> ConeMatrix:
-    """Radial part (x* x)^{1/2} of a rectangular matrix."""
-    a = _as_array(x)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got shape {a.shape}")
-    g = a.conj().T @ a
-    return psd_sqrt((g + g.conj().T) / 2.0)
-
-
-def haar_unitary(p: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal (d=1) or unitary (d=2) p x p matrix.
+def _haar_batch(p: int, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-distributed orthogonal (d=1) or unitary (d=2) p x p matrices,
+    stacked along the first axis.
 
     QR of a Gaussian matrix with the R-diagonal phase folded back into Q,
     which makes the distribution exactly Haar rather than QR-convention
     dependent. p=1, d=1 gives +-1 with equal probability.
     """
-    if p < 1:
-        raise DomainError(f"p must be at least 1, got {p}")
-    if d not in (1, 2):
-        raise DomainError(f"field selector d must be 1 or 2, got {d!r}")
-    return _haar_batch(p, d, rng, 1)[0]
-
-
-def _haar_batch(p: int, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar matrices stacked along the first axis."""
     if d == 1:
         g = rng.standard_normal((n, p, p))
     else:

@@ -14,19 +14,16 @@ import hashlib
 import numpy as np
 
 
-def label_words(label: str) -> tuple:
-    """Two stable 32-bit words derived from a text label."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return (
-        int.from_bytes(digest[0:4], "little"),
-        int.from_bytes(digest[4:8], "little"),
-    )
-
-
 def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
-    """Independent generator for (master seed, label, replicate index)."""
+    """Independent generator for (master seed, label, replicate index).
+
+    The label enters the seed sequence's spawn key as the first two
+    little-endian 32-bit words of its SHA-256 digest.
+    """
     if index < 0:
         raise ValueError(f"replicate index must be nonnegative, got {index}")
-    w1, w2 = label_words(label)
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    w1 = int.from_bytes(digest[0:4], "little")
+    w2 = int.from_bytes(digest[4:8], "little")
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(w1, w2, int(index)))
     return np.random.default_rng(seq)

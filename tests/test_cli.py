@@ -304,6 +304,31 @@ def test_argparse_rejects_bad_field_choice():
         cli.main(["bessel", "--d", "3"])
 
 
+# flags that a subcommand's handler would never read
+_UNREAD_FLAGS = {
+    "bessel": ("--replicates", "--weights", "--atoms"),
+    "dunkl": ("--mu", "--replicates", "--weights", "--atoms"),
+    "walk": ("--grid", "--n-samples", "--series-tol", "--max-weight"),
+    "lln": ("--mu", "--k-max", "--n-family", "--n-c", "--n-b", "--n-samples",
+            "--series-tol", "--max-weight"),
+    "slln": ("--mu", "--grid", "--replicates", "--n-samples", "--series-tol", "--max-weight"),
+    "ldp": ("--mu", "--n-samples", "--series-tol", "--max-weight"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in _UNREAD_FLAGS.items() for f in flags]
+)
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    # unrecognized, or (for --mu beside --mu-family) an ambiguous prefix
+    err = capsys.readouterr().err
+    assert flag in err and ("unrecognized" in err or "ambiguous" in err)
+    assert not os.listdir(tmp_path)
+
+
 # ------------------------------------------------------------- other commands
 
 

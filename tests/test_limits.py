@@ -153,7 +153,7 @@ def test_slln_requires_diverging_schedule():
     law = _bernoulli_law()
     slow = Schedule(mu_family="poly", mu_c=1.0, mu_b=1.0)
     with pytest.raises(DomainError, match="divergence"):
-        slln_experiment(law, P1, slow, k_max=5, master_seed=1, diagnostic_horizon=1000)
+        slln_experiment(law, P1, slow, k_max=5, master_seed=1)
 
 
 def test_slln_tail_sup_is_reverse_running_max():
@@ -213,7 +213,5 @@ def test_rate_function_bernoulli_entropy():
         assert rate_function(law, P1, s) == pytest.approx(want, abs=1e-9)
     assert 0.0 <= rate_function(law, P1, 0.5) <= 1e-12  # clamped at zero
     assert rate_function(law, P1, 1.5) == math.inf
-    with pytest.raises(DomainError):
-        rate_function(law, P1, 0.5, t_lo=1.0, t_hi=1.0)
     with pytest.raises(UnsupportedRankError):
         rate_function(law, StructureParams(q=2, d=1, mu=4.0), 0.5)

@@ -7,12 +7,10 @@ from conebessel.errors import DimensionError, DomainError
 from conebessel.linalg import (
     ConeMatrix,
     HermitianMatrix,
-    RectMatrix,
     StructureParams,
+    _haar_batch,
     _psd_sqrt_stack,
     _real_if_exact,
-    haar_unitary,
-    phi_p,
     psd_sqrt,
 )
 
@@ -57,6 +55,11 @@ def test_hermitian_matrix_stores_hermitian_part():
 def test_hermitian_matrix_rejects_bad_inputs():
     with pytest.raises(DimensionError):
         HermitianMatrix(np.ones((2, 3)))
+    for empty in (np.zeros((0, 0)), [[]]):
+        with pytest.raises(DimensionError):
+            HermitianMatrix(empty)
+        with pytest.raises(DimensionError):
+            ConeMatrix(empty)
     with pytest.raises(DomainError):
         HermitianMatrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
     with pytest.raises(DomainError):
@@ -99,15 +102,6 @@ def test_cone_matrix_clamps_tiny_negative_eigenvalues():
     assert c.norm() == pytest.approx(np.linalg.norm(c.array))
 
 
-def test_rect_matrix_guards():
-    r = RectMatrix(np.ones((3, 2)))
-    assert (r.p, r.q) == (3, 2)
-    with pytest.raises(DomainError):
-        RectMatrix(np.array([[np.nan]]))
-    with pytest.raises(DimensionError):
-        RectMatrix(np.ones(3))
-
-
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(1)
     g = rng.standard_normal((3, 3))
@@ -137,29 +131,19 @@ def test_stacked_square_root_matches_one_matrix_path():
             assert np.array_equal(got._vecs, want._vecs)
 
 
-def test_phi_p_is_radial_part():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((5, 2))
-    r = phi_p(a)
-    assert np.allclose(r.array @ r.array, a.T @ a, atol=1e-10)
-    # invariant under left rotation of the frame
-    u = haar_unitary(5, 1, rng)
-    r2 = phi_p(u @ a)
-    assert np.allclose(r2.array, r.array, atol=1e-10)
-
-
 @pytest.mark.parametrize("d", (1, 2))
 def test_haar_unitary_is_unitary(d):
     rng = np.random.default_rng(4)
-    u = haar_unitary(4, d, rng)
-    assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-    if d == 1:
-        assert not np.iscomplexobj(u)
+    u = _haar_batch(4, d, rng, 3)
+    assert u.shape == (3, 4, 4)
+    for m in u:
+        assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
+    assert np.iscomplexobj(u) == (d == 2)
 
 
 def test_haar_scalar_real_case_is_a_sign():
     rng = np.random.default_rng(5)
-    vals = {float(haar_unitary(1, 1, rng)[0, 0]) for _ in range(40)}
+    vals = set(_haar_batch(1, 1, rng, 40)[:, 0, 0].tolist())
     assert vals == {-1.0, 1.0}
 
 
@@ -167,5 +151,5 @@ def test_haar_first_entry_moment():
     # E |u_00|^2 = 1/p for Haar on either group
     rng = np.random.default_rng(6)
     n, p = 4000, 3
-    vals = np.array([abs(haar_unitary(p, 2, rng)[0, 0]) ** 2 for _ in range(n)])
+    vals = np.abs(_haar_batch(p, 2, rng, n)[:, 0, 0]) ** 2
     assert vals.mean() == pytest.approx(1.0 / p, abs=5 * vals.std() / np.sqrt(n))

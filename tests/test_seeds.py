@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conebessel.seeds import label_words, substream
+from conebessel.seeds import substream
 
 
 def test_substream_is_deterministic():
@@ -22,10 +22,13 @@ def test_substreams_differ_across_coordinates():
 
 
 def test_label_words_match_sha256():
+    # the label enters the spawn key as two SHA-256 words, so a stream can
+    # be rebuilt from numpy alone
     digest = hashlib.sha256(b"walk:7").digest()
-    w1, w2 = label_words("walk:7")
-    assert w1 == int.from_bytes(digest[0:4], "little")
-    assert w2 == int.from_bytes(digest[4:8], "little")
+    w1 = int.from_bytes(digest[0:4], "little")
+    w2 = int.from_bytes(digest[4:8], "little")
+    want = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(w1, w2, 3)))
+    assert np.array_equal(substream(42, "walk:7", 3).uniform(size=8), want.uniform(size=8))
 
 
 def test_negative_replicate_index_rejected():
