@@ -22,7 +22,6 @@ _EXPORTS = {
     "DimensionError": "errors",
     "DomainError": "errors",
     "IllConditionedError": "errors",
-    "SamplingError": "errors",
     "UnsupportedRankError": "errors",
     # linear algebra and structure constants
     "StructureParams": "linalg",

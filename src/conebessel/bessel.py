@@ -17,9 +17,9 @@ the certified bound, or a ConvergenceError carrying the bound achieved at
 the weight cap.
 
 The same function has an integral form against the ball density
-Delta(I - v*v)^{mu-rho}, estimated here by importance sampling; the
-normalization kappa_mu of that density has a closed form for rank one and
-is estimated the same way for higher rank.
+Delta(I - v*v)^{mu-rho}, estimated here by Monte Carlo with exact draws
+from that density; its normalization kappa_mu has a closed form in the
+multivariate gamma function.
 """
 
 from __future__ import annotations
@@ -29,13 +29,20 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError, DimensionError, DomainError, SamplingError
+from .errors import ConvergenceError, DimensionError, DomainError
 from .jack import (
     gen_pochhammer,
     layer_values,  # noqa: F401  (looked up here by the perfbench span recorder)
     layers,
 )
-from .linalg import HermitianMatrix, StructureParams, _as_array, _ball_draw, _ball_weigh
+from .linalg import (
+    HermitianMatrix,
+    StructureParams,
+    _as_array,
+    _ball_points,
+    _ball_points as _ball_proposal_weights,  # noqa: F401  (looked up here by the perfbench span recorder)
+    _ball_variates,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_WEIGHT = 30
@@ -188,30 +195,8 @@ def bessel_classical(kappa: float, z: float):
     )
 
 
-def _ball_proposal_weights(mu: float, params: StructureParams, n: int, rng):
-    """Importance weights for the ball density Delta(I - v*v)^{mu-rho}.
-
-    Draws n proposals and returns (weights, v) where the weights are
-    nonnegative, vanish outside the spectral unit ball and have expectation
-    kappa_mu.  For mu > rho the proposal is the dominating Gaussian with
-    per-real-coordinate variance 1/(2(mu-rho)); at or below rho it falls
-    back to the uniform law on the entry-wise box [-1, 1].
-    """
-    expo = mu - params.rho
-    dim = params.ambient_dim
-    gaussian = expo > 0.0
-    if gaussian:
-        log_base = (dim / 2.0) * math.log(math.pi / expo)
-    else:
-        log_base = dim * math.log(2.0)
-    v = _ball_draw(expo, params, rng, n, gaussian)
-    inside, log_ratio = _ball_weigh(expo, v, gaussian)
-    with np.errstate(over="ignore"):
-        w = np.where(inside, np.exp(log_ratio + log_base), 0.0)
-    return w, v
-
-
-_MC_CHUNK = 1 << 18
+# samples per Monte Carlo chunk of the ball integral, which bounds its memory
+_BALL_CHUNK = 1 << 14
 
 
 def _mc_mean_se(draw, n_samples: int, chunk: int):
@@ -237,88 +222,38 @@ def _mc_mean_se(draw, n_samples: int, chunk: int):
     return mean, math.sqrt(var / n_samples)
 
 
-def kappa_mu(params: StructureParams, n_samples: int = 200_000, rng=None):
+def kappa_mu(params: StructureParams) -> float:
     """Normalization of the ball density: integral of Delta(I-v*v)^{mu-rho}.
 
-    Rank one has the closed form pi^{d/2} Gamma(mu-rho+1)/Gamma(mu-rho+1+d/2)
-    and returns std_error 0.  Higher ranks use importance sampling (unbiased)
-    and return the Monte Carlo standard error.
+    The closed form pi^{d q^2 / 2} Gamma_q(mu - d q / 2) / Gamma_q(mu), with
+    the multivariate gamma Gamma_q(s) = pi^{d q (q-1) / 4} prod_{j<q}
+    Gamma(s - d j / 2); at rank one it is pi^{d/2} Gamma(mu-rho+1) /
+    Gamma(mu-rho+1+d/2).
     """
-    mu = params.mu
-    if params.q == 1:
-        a = mu - params.rho + 1.0
-        value = math.exp(
-            (params.d / 2.0) * math.log(math.pi)
-            + special.gammaln(a)
-            - special.gammaln(a + params.d / 2.0)
-        )
-        return value, 0.0
-    if rng is None:
-        raise DomainError("kappa_mu needs an rng for rank above one")
-    value, se = _mc_mean_se(
-        lambda m: _ball_proposal_weights(mu, params, m, rng)[0], n_samples, _MC_CHUNK
-    )
-    if value == 0.0:
-        raise _no_weight(params, mu, n_samples)
-    return value, se
-
-
-def _no_weight(params: StructureParams, mu: float, n_samples: int) -> SamplingError:
-    return SamplingError(
-        f"none of {n_samples} ball proposals fell inside the unit ball at q={params.q}, "
-        f"d={params.d}, mu={mu:.6g}: the importance weight is zero"
-    )
-
-
-def _integral_mc_parts(mu: float, x: np.ndarray, params: StructureParams, n_samples: int, rng):
-    """Ratio-estimator pieces for the oscillatory ball integral.
-
-    Returns (re, im, se_re, se_im) for
-    (1/kappa_mu) integral over the ball of exp(-2i <v, x>) dball.
-    """
-    sums = np.zeros(3)  # w, w cos, w sin
-    sq = np.zeros((3, 3))
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        w, v = _ball_proposal_weights(mu, params, m, rng)
-        phase = 2.0 * np.real(np.sum(np.conj(v) * x, axis=(1, 2)))
-        rows = np.stack([w, w * np.cos(phase), w * np.sin(phase)])
-        sums += rows.sum(axis=1)
-        sq += rows @ rows.T
-        done += m
-    if sums[0] == 0.0:
-        raise _no_weight(params, mu, n_samples)
-    n = n_samples
-    mean = sums / n
-    cov = sq / n - np.outer(mean, mean)
-    r_re = mean[1] / mean[0]
-    r_im = -mean[2] / mean[0]
-    # delta method for a ratio a/w: var(a - r w) / (n w_bar^2)
-    var_re = max(cov[1, 1] - 2 * r_re * cov[0, 1] + r_re**2 * cov[0, 0], 0.0)
-    var_im = max(cov[2, 2] + 2 * r_im * cov[0, 2] + r_im**2 * cov[0, 0], 0.0)
-    se_re = math.sqrt(var_re / n) / mean[0]
-    se_im = math.sqrt(var_im / n) / mean[0]
-    return r_re, r_im, se_re, se_im
+    q, d, mu = params.q, params.d, params.mu
+    shift = d * np.arange(q) / 2.0
+    log_ratio = np.sum(special.gammaln(mu - d * q / 2.0 - shift) - special.gammaln(mu - shift))
+    return math.exp(d * q * q / 2.0 * math.log(math.pi) + float(log_ratio))
 
 
 def bessel_integral_mc(mu: float, x, params: StructureParams, n_samples: int, rng):
     """Monte Carlo estimate of J_mu(x* x) through its ball integral form.
 
-    x is a q x q matrix over the field.  Uses the same importance sampling
-    as kappa_mu with a shared sample stream (ratio estimator) and returns
-    (value, std_error) for the real part; the imaginary part vanishes in
-    expectation and is checked in the test suite.
+    x is a q x q matrix over the field.  J_mu(x* x) is the mean of
+    cos(2 Re <v, x>) under the ball density, and v is drawn exactly
+    (linalg._ball_points) in chunks of 2^14; returns (value, std_error).
     """
     a = _as_array(x)
     if a.shape != (params.q, params.q):
         raise DimensionError(f"argument must be {params.q} x {params.q}, got {a.shape}")
-    if mu <= params.rho - 1.0:
-        raise DomainError(f"mu={mu} must exceed rho - 1 = {params.rho - 1.0}")
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
-    r_re, _, se_re, _ = _integral_mc_parts(mu, a, params, n_samples, rng)
-    return r_re, se_re
+    ball = params.with_mu(mu)  # a DomainError unless mu > rho - 1
+    conj_x = np.conj(a).ravel()
+
+    def draw(m):
+        v = _ball_points(ball, *_ball_variates(ball, rng, m))
+        return np.cos(2.0 * np.real(v.reshape(m, -1) @ conj_x))
+
+    return _mc_mean_se(draw, n_samples, _BALL_CHUNK)
 
 
 def theorem1_gap(mu: float, y, params: StructureParams):

@@ -3,14 +3,15 @@
 Subcommands: bessel, dunkl, walk, lln, slln, ldp, check.  Each run takes
 a flat JSON config file plus flag overrides, validates everything before
 computing, and leaves two artifacts in the output directory: a CSV whose
-first two lines carry the config hash and master seed, and a config echo
-JSON that re-parses to the exact RunConfig used.  Identical (config,
-seed) pairs produce byte-identical CSVs.
+first two lines carry the config hash with the stream version
+(seeds.STREAM_VERSION) and the master seed, and a config echo JSON that
+records the stream version and re-parses to the exact RunConfig used.
+Identical (config, seed) pairs produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 acceptance-criterion failure (check only),
 2 config or domain error (with file:line when the offender is a config
-entry), 3 a numeric routine could not certify its tolerance (the message
-carries the bound it did achieve).
+entry), 3 a series could not certify its tolerance (the message carries
+the bound it did achieve).
 
 Heavy imports happen inside the command handlers so that --threads (or
 the CONEBESSEL_THREADS variable) can pin the BLAS thread count before
@@ -34,7 +35,6 @@ from .errors import (
     DimensionError,
     DomainError,
     IllConditionedError,
-    SamplingError,
     UnsupportedRankError,
 )
 
@@ -94,9 +94,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path=None, raw_text=None) -> "RunConfig":
+        """The config a JSON object describes.  A config echo also carries
+        the stream version it was written under, which must be the current
+        one; a hand-written config may leave it out."""
+        from .seeds import STREAM_VERSION
+
+        version = data.get("stream_version", STREAM_VERSION)
+        if version != STREAM_VERSION:
+            raise ConfigError(
+                f"config was written under stream version {version!r}, but this "
+                f"package draws version {STREAM_VERSION}",
+                path=path,
+                line=_find_key_line(raw_text, "stream_version"),
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         clean = {}
         for key, val in data.items():
+            if key == "stream_version":
+                continue
             if key not in known:
                 raise ConfigError(
                     f"unknown config field {key!r}",
@@ -224,6 +239,7 @@ class _Resolved:
         from .hypergroup import RadialLaw
         from .limits import Schedule, config_hash
         from .linalg import ConeMatrix, StructureParams
+        from .seeds import STREAM_VERSION
 
         if cfg.experiment is not None and cfg.experiment != command:
             raise ConfigError(
@@ -243,9 +259,10 @@ class _Resolved:
             mu0 = cfg.mu
         grid = tuple(parse_grid(cfg.grid)) if cfg.grid is not None else None
         if command == "dunkl":
+            # dunkl evaluates at the grid indices only and ignores a config mu
             if grid is None:
                 grid = (64.0, 128.0, 256.0)
-            mu0 = max(grid) if mu0 is None else mu0
+            mu0 = max(grid)
         self.params = StructureParams(q=cfg.q, d=cfg.d, mu=float(mu0))
 
         raw_atoms = cfg.atoms
@@ -268,7 +285,8 @@ class _Resolved:
         cfg = dataclasses.replace(cfg, grid=grid, mu=float(mu0))
         self.cfg = cfg
         self.grid = grid
-        self.hash = config_hash(cfg.as_dict())
+        self.echo = {**cfg.as_dict(), "stream_version": STREAM_VERSION}
+        self.hash = config_hash(self.echo)
 
     def write_csv(self, name: str, columns: str, rows) -> str:
         from .limits import csv_text
@@ -281,7 +299,7 @@ class _Resolved:
     def write_echo(self, name: str) -> str:
         path = os.path.join(self.cfg.out, f"{name}_config.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.cfg.as_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.echo, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
 
@@ -546,14 +564,15 @@ def build_parser() -> argparse.ArgumentParser:
     a reference cycle that only the cyclic garbage collector frees."""
     parser = argparse.ArgumentParser(
         prog="conebessel",
+        allow_abbrev=False,
         description="Matrix-cone Bessel functions, radial walks, and their limit theorems.",
     )
     sub = parser.add_subparsers(dest="command")
     for name, (help_text, flags) in _SUBCOMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in f"{_COMMON_FLAGS} {flags}".split():
             cmd.add_argument(flag, **_FLAG_SPECS[flag])
-    check = sub.add_parser("check", help="run the acceptance suite")
+    check = sub.add_parser("check", help="run the acceptance suite", allow_abbrev=False)
     check.add_argument("--threads", **_FLAG_SPECS["--threads"])
     return parser
 
@@ -589,9 +608,6 @@ def main(argv=None) -> int:
             f"{exc.achieved_bound:.6e})",
             file=sys.stderr,
         )
-        return 3
-    except SamplingError as exc:
-        print(f"sampling failure: {exc}", file=sys.stderr)
         return 3
 
 

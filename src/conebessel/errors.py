@@ -20,10 +20,6 @@ class ConvergenceError(RuntimeError):
         self.achieved_bound = achieved_bound
 
 
-class SamplingError(RuntimeError):
-    """A rejection sampler failed to produce a sample at a usable rate."""
-
-
 class IllConditionedError(ValueError):
     """Inputs are too close to a singular configuration for this formula."""
 

@@ -12,8 +12,9 @@ rotated frames; tests/orbit_oracle.py simulates that picture as an
 independent check of this module.
 
 Replicate walks run as a batch (walk_batch): each keeps its own random
-stream, and one kernel step advances all of them with stacked arithmetic.
-A lone walk or convolution is the batch of one.
+stream and draws all of its randomness when the walk starts, and one
+kernel step advances all of them with stacked arithmetic.  A lone walk or
+convolution is the batch of one.
 """
 
 from __future__ import annotations
@@ -23,19 +24,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SamplingError
+from .errors import DimensionError, DomainError
 from .linalg import (
     ConeMatrix,
     StructureParams,
-    _ball_draw,
-    _ball_weigh,
+    _ball_points,
+    _ball_variates,
     _psd_sqrt_stack,
     psd_sqrt,  # noqa: F401  (looked up here by the perfbench span recorder)
 )
-
-_MAX_PROPOSALS = 1_000_000
-_MIN_RATE = 1e-4
-_BLOCK = 16  # proposals per block; each block is followed by as many uniforms
 
 
 @dataclass(frozen=True)
@@ -81,55 +78,29 @@ class RadialLaw:
         return int(self._cdf.searchsorted(rng.random(), side="right"))
 
 
-def _sample_ball_batch(params: StructureParams, rngs) -> np.ndarray:
-    """One draw from the ball density per stream, stacked (len(rngs), q, q).
+def _sample_ball_batch(params: StructureParams, rngs, n: int) -> np.ndarray:
+    """n draws from the ball density per stream, stacked (len(rngs), n, q, q).
 
-    Each stream draws blocks of 16 proposals, each block followed by 16
-    uniforms, until a proposal is accepted; the first accepted one is
-    kept.  Only the streams still waiting draw another block, and all
-    blocks of a round are weighed in one call, so every stream makes the
-    same generator calls, in the same order, whatever the others do.
+    Each stream makes the two generator calls of linalg._ball_variates for
+    its n draws; the arithmetic then runs once over all of them and gives
+    each draw the bits it would get alone.
     """
-    expo = params.mu - params.rho
-    if expo < 0.0:
-        raise SamplingError(
-            f"ball density has exponent mu - rho = {expo:.3g} < 0 and is unbounded "
-            "near the boundary; rejection sampling cannot dominate it "
-            "(mu is pathologically close to rho - 1)"
-        )
-    # for the Gaussian, target/proposal = Delta(I-v*v)^expo * exp(expo <v,v>) <= 1
-    gaussian = expo >= 1.0
     q = params.q
-    out = np.empty((len(rngs), q, q), dtype=params.dtype)
-    waiting = np.arange(len(rngs))
-    proposals = 0
-    while waiting.size:
-        streams = [rngs[i] for i in waiting.tolist()]
-        v = np.concatenate([_ball_draw(expo, params, rng, _BLOCK, gaussian) for rng in streams])
-        u = np.concatenate([rng.uniform(size=_BLOCK) for rng in streams])
-        inside, log_acc = _ball_weigh(expo, v, gaussian, cut=1.0 - 1e-13)
-        accept = (inside & (np.log(u) < log_acc)).reshape(-1, _BLOCK)
-        hit = accept.any(axis=1)
-        out[waiting[hit]] = v.reshape(-1, _BLOCK, q, q)[hit, accept.argmax(axis=1)[hit]]
-        waiting = waiting[~hit]
-        proposals += _BLOCK
-        worst = 0 if waiting.size else 1  # draws accepted by the slowest stream
-        if proposals >= _MAX_PROPOSALS and worst / proposals < _MIN_RATE:
-            raise SamplingError(
-                f"ball sampler acceptance rate {worst / proposals:.2e} after "
-                f"{proposals} proposals (mu is pathologically close to rho - 1)"
-            )
-    return out
+    if not rngs:
+        return np.empty((0, n, q, q), dtype=params.dtype)
+    draws = [_ball_variates(params, rng, n) for rng in rngs]
+    z = np.concatenate([normals for normals, _ in draws])
+    g = np.concatenate([gammas for _, gammas in draws])
+    return _ball_points(params, z, g).reshape(len(rngs), n, q, q)
 
 
-def _convolve_stack(r: np.ndarray, s: np.ndarray, params: StructureParams, rngs) -> list:
-    """One draw from delta_r[i] * delta_s[i] per stream rngs[i], for stacked
-    nonzero pairs r, s of shape (n, q, q): the walk-step kernel.
+def _convolve_stack(r: np.ndarray, s: np.ndarray, v: np.ndarray) -> list:
+    """One draw from delta_r[i] * delta_s[i] for stacked nonzero pairs r, s
+    of shape (n, q, q) and ball draws v[i]: the walk-step kernel.
 
     The arithmetic runs once over the stack; each pair gets the bits that
     a stack of one would give it.
     """
-    v = _sample_ball_batch(params, rngs)
     # an overflow here is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         m = r @ r + s @ s + s @ v @ r + r @ v.conj().swapaxes(1, 2) @ s
@@ -155,30 +126,34 @@ def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> 
         return sm
     if sm.is_zero():
         return rm
-    return _convolve_stack(rm.array[None], sm.array[None], params, [rng])[0]
+    v = _sample_ball_batch(params, [rng], 1)[0]
+    return _convolve_stack(rm.array[None], sm.array[None], v)[0]
 
 
 def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
     """Independent walks started at zero, one per stream, advanced together.
 
     Yields the list of current states, one ConeMatrix per stream, for
-    S_0 = 0, S_1, ..., S_n.  Each step draws the atom index with one
-    rng.random() per stream; a zero state takes the atom and a zero atom
-    keeps the state, without further draws; the other walks take one
-    _convolve_stack step together.  So walk i is walk_simulate(nu, params,
-    n_steps, rngs[i]) bit for bit, whatever the other streams are.
+    S_0 = 0, S_1, ..., S_n.  At the start each stream draws rng.random(n)
+    for its atom picks and then its n ball draws, so a walk's stream use
+    does not depend on its path: a draw that a zero state (which takes the
+    atom) or a zero atom (which keeps the state) leaves unused is still
+    drawn.  The other walks take one _convolve_stack step together, so walk
+    i is walk_simulate(nu, params, n_steps, rngs[i]) bit for bit, whatever
+    the other streams are.
     """
     if nu.q != params.q:
         raise DimensionError("law rank does not match params")
     if n_steps < 0:
         raise DomainError("n_steps must be nonnegative")
+    u = np.array([rng.random(n_steps) for rng in rngs]).reshape(len(rngs), n_steps)
+    balls = _sample_ball_batch(params, rngs, n_steps)
     states = [ConeMatrix(np.zeros((params.q, params.q), dtype=params.dtype))] * len(rngs)
     yield states
     zero = [True] * len(rngs)
     atoms = np.stack([a.array for a in nu.atoms])
     atom_zero = [a.is_zero() for a in nu.atoms]
-    for _ in range(n_steps):
-        picks = nu._cdf.searchsorted([rng.random() for rng in rngs], side="right").tolist()
+    for step, picks in enumerate(nu._cdf.searchsorted(u.T, side="right").tolist()):
         states = list(states)
         live = []
         for i, k in enumerate(picks):
@@ -191,7 +166,7 @@ def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
             # the cast numpy gives it in a step of its own
             ra = np.stack([states[i].array for i in live])
             sa = atoms[[picks[i] for i in live]]
-            for i, x in zip(live, _convolve_stack(ra, sa, params, [rngs[i] for i in live])):
+            for i, x in zip(live, _convolve_stack(ra, sa, balls[live, step])):
                 states[i], zero[i] = x, x.is_zero()
         yield states
 

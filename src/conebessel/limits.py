@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedRankError
 from .hypergroup import RadialLaw, walk_batch, walk_simulate
 from .linalg import ConeMatrix, StructureParams, psd_sqrt
-from .seeds import substream
+from .seeds import STREAM_VERSION, substream
 
 _MU_FAMILIES = ("poly", "pow2")
 _N_FAMILIES = ("poly", "polylog")
@@ -194,8 +194,10 @@ def config_hash(config: dict) -> str:
 
 
 def csv_text(config_digest: str, seed: int, columns: str, rows) -> str:
-    """A run's CSV: config hash and master seed lines, column header, rows."""
-    lines = [f"# config_hash={config_digest}", f"# seed={seed}", columns, *rows]
+    """A run's CSV: a line with the config hash and the stream version, the
+    master seed line, the column header and the rows."""
+    head = f"# config_hash={config_digest} stream_version={STREAM_VERSION}"
+    lines = [head, f"# seed={seed}", columns, *rows]
     return "\n".join(lines) + "\n"
 
 

@@ -5,14 +5,13 @@ drivers) goes through the small set of primitives defined here, so the
 numerical policy is in one place: Hermiticity is enforced to 1e-12
 relative, positive semidefiniteness to 1e-10 relative with eigenvalue
 clamping at construction, and eigendecomposition is the single primitive
-used for square roots and ball membership.  These checks run where outside
-input enters; an array that is Hermitian and PSD by construction (a walk
-step) takes the same spectral path without them.
+used for square roots.  These checks run where outside input enters; an
+array that is Hermitian and PSD by construction (a walk step) takes the
+same spectral path without them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +65,6 @@ class StructureParams:
     @property
     def dtype(self):
         return np.complex128 if self.d == 2 else np.float64
-
-    @property
-    def ambient_dim(self) -> int:
-        """Real dimension of the q x q matrix space over the field."""
-        return self.d * self.q * self.q
 
     def with_mu(self, mu: float) -> "StructureParams":
         return StructureParams(self.q, self.d, float(mu))
@@ -262,39 +256,64 @@ def _haar_batch(p: int, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
     return q * phase[:, None, :]
 
 
-def _ball_draw(expo: float, params: StructureParams, rng, m: int, gaussian: bool) -> np.ndarray:
-    """m proposals for the ball density Delta(I - v*v)^expo, stacked (m, q, q).
+def _ball_variates(params: StructureParams, rng, n: int):
+    """The random input of n draws from the ball density, for _ball_points.
 
-    The proposal is Gaussian with per-real-coordinate variance 1/(2 expo)
-    when `gaussian`, else uniform on the entry-wise box [-1, 1]; over the
-    complex field the imaginary parts are drawn after the real parts.
+    One standard_normal call fills an (n, d (q^2 + q(q-1)/2)) array, one
+    row per draw: the q x q entries of G row by row, then the Bartlett
+    entries below the diagonal, each entry over the complex field as a
+    (real, imaginary) pair.  One standard_gamma call then gives (n, q)
+    variates of shapes mu - d (q + i) / 2 = d (nu - i) / 2, i < q, with
+    nu = 2 mu / d - q the Wishart degrees of freedom.
+    """
+    q, d = params.q, params.d
+    z = rng.standard_normal((n, d * (q * q + q * (q - 1) // 2)))
+    g = rng.standard_gamma(params.mu - d * (q + np.arange(q)) / 2.0, size=(n, q))
+    return z, g
+
+
+def _ball_points(params: StructureParams, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Draws v = G L^{-*} of the ball density Delta(I - v*v)^{mu-rho}, stacked
+    (n, q, q), from the variates of _ball_variates.
+
+    G is field-normal and T lower triangular with T_ii^2 = 2 g_i and the
+    field normals below its diagonal, so T T* is Wishart_q(nu); L is the
+    Cholesky factor of G*G + T T*.  Then I - v*v = L^{-1} T T* L^{-*}, and
+    v has the ball density with mu - rho = d (nu - q + 1) / 2 - 1 for every
+    mu > rho - 1 (Bartlett's decomposition and the matrix-variate beta law,
+    Muirhead 1982, sections 3.2 and 3.3).
+    The q x q algebra runs entry by entry on arrays along the sample axis,
+    with no LAPACK call per matrix, so a draw's bits do not depend on the
+    draws stacked with it.
     """
     q = params.q
-    if gaussian:
-        sd = math.sqrt(1.0 / (2.0 * expo))
-        v = rng.standard_normal((m, q, q)) * sd
-        if params.d == 2:
-            v = v + 1j * (rng.standard_normal((m, q, q)) * sd)
-    else:
-        v = rng.uniform(-1.0, 1.0, (m, q, q))
-        if params.d == 2:
-            v = v + 1j * rng.uniform(-1.0, 1.0, (m, q, q))
+    cj = np.conj if params.d == 2 else (lambda a: a)
+    e = np.ascontiguousarray(z.view(params.dtype).T)  # one row per field entry
+    G = e[: q * q].reshape(q, q, -1)
+    Gc = cj(G)
+    below = iter(e[q * q :])
+    T = [[next(below) for _ in range(i)] + [np.sqrt(2.0 * g[:, i])] for i in range(q)]
+    L = [[None] * q for _ in range(q)]  # lower Cholesky factor
+    Lc = [[None] * q for _ in range(q)]  # its conjugate below the diagonal
+    for j in range(q):
+        for i in range(j, q):
+            s = Gc[0, i] * G[0, j]
+            for k in range(1, q):
+                s += Gc[k, i] * G[k, j]
+            for k in range(j + 1):
+                s += T[i][k] * cj(T[j][k])
+            for k in range(j):
+                s -= L[i][k] * Lc[j][k]
+            if i == j:
+                L[j][j] = np.sqrt(s.real)
+            else:
+                L[i][j] = s / L[j][j]
+                Lc[i][j] = cj(L[i][j])
+    v = np.empty((z.shape[0], q, q), dtype=params.dtype)
+    for r in range(q):
+        for j in range(q):
+            s = G[r, j]
+            for k in range(j):
+                s = s - v[:, r, k] * Lc[j][k]
+            v[:, r, j] = s / L[j][j]
     return v
-
-
-def _ball_weigh(expo: float, v: np.ndarray, gaussian: bool, cut: float = 1.0):
-    """(inside, log_ratio) for stacked proposals v from _ball_draw.
-
-    `inside` marks draws whose v*v has top eigenvalue below `cut`, and
-    log_ratio is expo * (sum log(1 - a) [+ sum a for the Gaussian]) over the
-    eigenvalues a of v*v, the log of target over proposal density up to a
-    constant (zero outside).  Each draw is weighed on its own, so proposals
-    from several streams can be weighed in one call.
-    """
-    a = np.linalg.eigvalsh(np.conj(np.swapaxes(v, 1, 2)) @ v)
-    inside = a[:, -1] < cut
-    a_in = np.where(inside[:, None], a, 0.0)
-    log_ratio = np.log1p(-a_in).sum(axis=1)
-    if gaussian:
-        log_ratio = log_ratio + a_in.sum(axis=1)
-    return inside, expo * log_ratio

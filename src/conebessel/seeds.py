@@ -5,6 +5,11 @@ multi-replicate experiments the generators come from here: a master seed
 plus a text label plus a replicate index give an independent substream,
 so results are reproducible bit-for-bit and adding replicates never
 perturbs the ones already drawn.
+
+STREAM_VERSION numbers the way the package consumes these streams.  It
+changes whenever a seeded result changes, and every CSV and config echo
+records it.  Version 2 draws the ball density exactly (linalg._ball_points)
+and draws a walk's randomness when the walk starts.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+STREAM_VERSION = 2
 
 
 def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:

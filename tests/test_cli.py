@@ -12,6 +12,7 @@ import pytest
 
 from conebessel import acceptance, cli
 from conebessel.errors import ConfigError
+from conebessel.seeds import STREAM_VERSION
 
 
 # -------------------------------------------------------------- config layer
@@ -60,6 +61,16 @@ def test_run_config_normalizes_lists():
     assert cfg.weights == (1.0,)
     back = cfg.as_dict()
     assert back["atoms"] == [[1.0, 0.5]]
+
+
+def test_config_from_another_stream_version_is_refused(tmp_path):
+    # an echo carries its stream version; only the current one re-parses
+    assert cli.RunConfig.from_dict({"q": 2, "stream_version": STREAM_VERSION}).q == 2
+    p = tmp_path / "old.json"
+    p.write_text('{\n  "q": 2,\n  "stream_version": 1\n}\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="stream version 1") as err:
+        cli.load_config_file(p)
+    assert err.value.line == 3
 
 
 def test_apply_threads_flag_env_and_validation(monkeypatch):
@@ -117,8 +128,9 @@ def test_bessel_echo_reparses_to_the_same_config(tmp_path):
     cfg2 = cli.RunConfig.from_dict(echo)
     res2 = cli._Resolved(cfg2, "bessel")
     assert res2.cfg == cfg2  # resolving an echoed config is a fixed point
+    assert echo["stream_version"] == STREAM_VERSION
     header = (tmp_path / "bessel.csv").read_text().splitlines()[0]
-    assert header == f"# config_hash={res2.hash}"
+    assert header == f"# config_hash={res2.hash} stream_version={STREAM_VERSION}"
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
@@ -157,7 +169,7 @@ def test_csv_header_carries_the_echo_hash(tmp_path, argv):
     name = argv[0]
     lines = (tmp_path / f"{name}.csv").read_text().splitlines()
     echo = json.loads((tmp_path / f"{name}_config.json").read_text())
-    assert lines[0] == f"# config_hash={config_hash(echo)}"
+    assert lines[0] == f"# config_hash={config_hash(echo)} stream_version={STREAM_VERSION}"
     assert lines[1] == "# seed=3"
 
 
@@ -266,9 +278,6 @@ def test_walk_norm_of_a_huge_state_is_finite(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # no ball proposal is accepted: the importance weight sums to zero
-        (["--q", "3", "--d", "2", "--mu", "6", "--grid", "0.5", "--n-samples", "2000"],
-         "sampling failure"),
         # the series overflows to nan long before its tail certifies
         (["--q", "1", "--mu", "2", "--grid", "22", "--max-weight", "2000"],
          "partial sum is not finite"),
@@ -323,10 +332,41 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, fl
     with pytest.raises(SystemExit) as exc:
         cli.main([command, flag, "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    # unrecognized, or (for --mu beside --mu-family) an ambiguous prefix
     err = capsys.readouterr().err
-    assert flag in err and ("unrecognized" in err or "ambiguous" in err)
+    assert flag in err and "unrecognized" in err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["walk", "--q", "1", "--mu", "6", "--rep", "3", "--steps", "1"], "--rep 3"),
+        (["lln", "--mu", "1"], "--mu 1"),  # beside --mu-family, --mu-c and --mu-b
+    ],
+)
+def test_flag_prefixes_are_not_expanded(tmp_path, capsys, argv, unknown):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_dunkl_ignores_a_config_mu(tmp_path, capsys):
+    # dunkl evaluates at its grid indices only: a config mu below rho - 1
+    # runs, and leaves the CSV body and the echo as they are without it
+    outputs = []
+    for extra in ({}, {"mu": 1.0}):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"q": 3, **extra}), encoding="utf-8")
+        argv = ["dunkl", "--config", str(p), "--grid", "8", "--n-samples", "10",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        csv = (tmp_path / "dunkl.csv").read_text().split("\n", 1)[1]
+        outputs.append((csv, (tmp_path / "dunkl_config.json").read_text()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["mu"] == 8.0
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------- other commands
@@ -348,6 +388,26 @@ def test_walk_csv_shape(tmp_path):
     x11, x12, x22, tr, nrm = map(float, row[2:])
     assert tr == pytest.approx(x11 + x22, rel=1e-12)
     assert nrm == pytest.approx(math.hypot(x11, x22, x12, x12), rel=1e-12)
+
+
+def test_walk_runs_where_rejection_sampling_could_not(tmp_path, capsys):
+    # q=3, d=2 with mu - rho = 0.3: no proposal of the old rejection
+    # sampler was accepted there
+    assert cli.main(["walk", "--q", "3", "--d", "2", "--mu", "6.3", "--out", str(tmp_path)]) == 0
+    # the default 200 replicates of 10 steps, S_0 included
+    assert len((tmp_path / "walk.csv").read_text().splitlines()) == 3 + 200 * 11
+    capsys.readouterr()
+
+
+def test_bessel_mc_matches_series_where_importance_weights_vanished(tmp_path, capsys):
+    # q=3, d=2, mu = rho: the old importance weights summed to zero here
+    rc = cli.main(["bessel", "--q", "3", "--d", "2", "--mu", "6", "--grid", "0.5",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    row = (tmp_path / "bessel.csv").read_text().splitlines()[3].split(",")
+    series, tail, mc, se = map(float, row[1:5])
+    assert abs(mc - series) <= 4.0 * se + tail
+    capsys.readouterr()
 
 
 def test_walk_csv_complex_field_column_count(tmp_path):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conebessel import hypergroup
-from conebessel.errors import DimensionError, DomainError, SamplingError
+from conebessel.errors import DimensionError, DomainError
 from conebessel.hypergroup import (
     RadialLaw,
     _sample_ball_batch,
@@ -80,7 +79,7 @@ def test_step_equals_validated_square_root_bit_for_bit():
         s = ConeMatrix(np.diag(np.linspace(0.3, 0.9, q)))
         for i in range(5):
             out = convolve_sample(r, s, params, substream(18, "bits", i))
-            v = _sample_ball_batch(params, [substream(18, "bits", i)])[0]
+            v = _sample_ball_batch(params, [substream(18, "bits", i)], 1)[0, 0]
             m = r.array @ r.array + s.array @ s.array + s.array @ v @ r.array
             m = m + r.array @ v.conj().T @ s.array
             want = psd_sqrt(ConeMatrix((m + m.conj().T) / 2.0))
@@ -187,49 +186,32 @@ def test_radial_matrix_sample_has_prescribed_radial_part():
 
 
 def test_sample_ball_stays_in_ball():
-    for mu in (6.0, 4.5):  # Gaussian and box proposals (rho = 4)
+    for mu in (6.0, 4.5):
         params = StructureParams(q=2, d=2, mu=mu)
-        v = _sample_ball_batch(params, [substream(17, "ball", i) for i in range(10)])
-        assert v.shape == (10, 2, 2) and v.dtype == np.complex128
-        assert np.all(np.linalg.svd(v, compute_uv=False)[:, 0] < 1.0)
+        v = _sample_ball_batch(params, [substream(17, "ball", i) for i in range(10)], 3)
+        assert v.shape == (10, 3, 2, 2) and v.dtype == np.complex128
+        assert np.all(np.linalg.norm(v, ord=2, axis=(2, 3)) < 1.0)
 
 
-def test_sampler_refuses_unbounded_density():
-    # mu - rho < 0 makes the density blow up at the boundary
-    params = StructureParams(q=1, d=1, mu=0.6)
-    with pytest.raises(SamplingError):
-        _sample_ball_batch(params, [substream(17, "ball", 1)])
-    r = ConeMatrix(np.eye(1))
-    with pytest.raises(SamplingError):
-        convolve_sample(r, r, params, substream(17, "ball", 2))
-
-
-def test_sampler_budget_applies_per_stream(monkeypatch):
-    # with a budget of two blocks, a batch fails exactly when one of its
-    # streams alone would fail; the proposals of other streams do not count
-    monkeypatch.setattr(hypergroup, "_MAX_PROPOSALS", 32)
-    params = StructureParams(q=2, d=2, mu=4.5)  # box proposal, low acceptance
-
-    def fails(streams):
-        try:
-            _sample_ball_batch(params, streams)
-        except SamplingError:
-            return True
-        return False
-
-    alone = [fails([substream(19, "budget", i)]) for i in range(40)]
-    assert any(alone) and not all(alone)
-    good = [substream(19, "budget", i) for i in range(40) if not alone[i]]
-    assert not fails(good)
-    assert fails([substream(19, "budget", i) for i in range(40)])
+def test_sampler_samples_unbounded_density_inside_ball():
+    # mu = rho - 1/2 makes the density blow up at the boundary; the draws
+    # still lie inside the ball and the convolution still samples
+    for q, d in ((1, 1), (2, 2), (3, 2)):
+        params = StructureParams(q=q, d=d, mu=d * (q - 0.5) + 0.5)
+        v = _sample_ball_batch(params, [substream(17, "ball", i) for i in range(10)], 50)
+        assert v.shape == (10, 50, q, q)
+        assert np.all(np.linalg.norm(v, ord=2, axis=(2, 3)) < 1.0)
+        r = ConeMatrix(np.eye(q))
+        out = convolve_sample(r, r, params, substream(17, "ball", 10))
+        assert out.eigs[0] <= 2.0 + 1e-12
 
 
 # ------------------------------------------------------------ batched walks
 
 
 def test_walk_batch_matches_one_stream_walks_bit_for_bit():
-    # zero states and a zero atom pass through without draws, and each
-    # replicate reads only its own stream, whatever the others do
+    # zero states and a zero atom pass through, leaving their draws unused,
+    # and each replicate reads only its own stream, whatever the others do
     for q, d, mu in ((1, 1, 6.0), (1, 2, 6.0), (2, 2, 8.0), (2, 2, 4.5), (3, 1, 9.0)):
         params = StructureParams(q=q, d=d, mu=mu)
         law = _law(q, [np.linspace(1.0, 0.6, q), np.zeros(q), np.linspace(0.5, 0.7, q)],
@@ -246,18 +228,18 @@ def test_walk_batch_matches_one_stream_walks_bit_for_bit():
 
 
 # SHA-256 of the seeded walk and ldp CSVs below the config-hash line (which
-# hashes the output path), recorded before walks were batched across
-# replicates; the batched engine must reproduce every byte.
+# hashes the output path), recorded under stream version 2 (seeds.STREAM_VERSION);
+# every byte must stay the same until the version changes.
 _WALK_DIGESTS = {
-    (1, 1, 6.0): "3506265e83264a919dcbbd60f31046804bd4db33b2df2a00f4cfbad9eb1a38ef",
-    (1, 2, 6.0): "1d091794fc2d4b2f4a30ecf6899926d4c495fdc4456a12d822b42d0b87e73c7c",
-    (2, 1, 8.0): "c1c7a47bc600150168efb6c446657d3a1e83546a8d95fbe522767ba51119053d",
-    (2, 2, 8.0): "4a5b2712312c374421de2e9e601556e8b626f0950543a21d31f9320e9695657a",
-    (3, 1, 9.0): "e094952d55ce0d685fe07ab8f14368c47740aba6f61df813ce28dbeebc680d47",
-    (2, 2, 4.5): "75aaaf1e55dd94b28b6b9da573e0485f40e28c7758cd336ebc07de907c545215",
-    (2, 1, 3.0): "07ac8b180a7571a31686508235bf094a9648380ca0684fec86edcc15f89cba9f",
+    (1, 1, 6.0): "1b1b3b0dbd3a47f66d5de71844b17b9f9ffaa17c125c7c6c08f15d4ac329013e",
+    (1, 2, 6.0): "a88d7774f3dcd317bd805929b0e540bb98764f301caf56dbc3154b39a1d2ab7d",
+    (2, 1, 8.0): "419373ad431e41819e3563a46f5325c33cd7e7af3ccec7c6beac11b7479c2b3c",
+    (2, 2, 8.0): "33409ac94a5604b386871644778107f7e8b958d7677e7dcd2d3c34f2636e3db5",
+    (3, 1, 9.0): "338c02875fd7ba093a9eb8cf11dd72e7b1b87dea5aca0695d21d7c95a1eb1140",
+    (2, 2, 4.5): "d2c0f3330688aac804b83bc30255fbbb712571bf3b29f57595920d1c595f6870",
+    (2, 1, 3.0): "656f06ee27057cacfe2d5d50b2f4b492761fa8b96d568152efdd13c351d21a81",
 }
-_LDP_DIGEST = "77e3796f2c8f5e9a2ae1b287144db7ecc82b4ea74c2595b388f7a88e980ce4da"
+_LDP_DIGEST = "872ddae1560840fda33471fe0912c0dd2226d542f71e307e46a3f5c11f017ce0"
 
 
 @pytest.mark.parametrize("q, d, mu", sorted(_WALK_DIGESTS))

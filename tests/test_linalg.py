@@ -19,11 +19,9 @@ def test_structure_params_derived_quantities():
     p = StructureParams(q=1, d=1, mu=2.0)
     assert p.rho == 1.5
     assert p.alpha == 2.0
-    assert p.ambient_dim == 1
     p = StructureParams(q=2, d=2, mu=6.0)
     assert p.rho == 4.0
     assert p.alpha == 1.0
-    assert p.ambient_dim == 8
     assert p.dtype == np.complex128
     assert p.with_mu(7.0).mu == 7.0
 
