@@ -36,7 +36,7 @@ from .dunkl import (
     harish_chandra_exact,
     hyper_0F0,
 )
-from .hypergroup import RadialLaw, convolve_sample, walk_simulate
+from .hypergroup import RadialLaw, _convolve_stack, _sample_ball_batch, walk_batch
 from .jack import gen_pochhammer, layers, partitions_of_weight
 from .limits import (
     Schedule,
@@ -282,19 +282,18 @@ def orbit_projection_consistency():
     law = RadialLaw(weights=(1.0,), atoms=(one,))
     crit = 1.628 * math.sqrt(2.0 / n)
 
-    rng = substream(107, "conv")
-    a = np.empty(n)
-    for i in range(n):
-        a[i] = convolve_sample(one, one, params, rng).array[0, 0]
+    # n one-step convolutions of 1 with 1, and below n two-step walks, each
+    # batch on one stream: the bits of n successive calls on it
+    ones = np.ones((n, 1, 1))
+    v = _sample_ball_batch(params, [substream(107, "conv")] * n, 1)[:, 0]
+    a = _convolve_stack(ones, ones, v)[:, 0, 0]
     g = substream(107, "sphere-1").standard_normal((n, p))
     z = g / np.linalg.norm(g, axis=1, keepdims=True)
     b = np.sqrt(2.0 + 2.0 * z[:, 0])
     d1 = float(stats.ks_2samp(a, b, method="asymp").statistic)
 
-    rng = substream(107, "walk")
-    a2 = np.empty(n)
-    for i in range(n):
-        a2[i] = walk_simulate(law, params, 2, rng)[-1].array[0, 0]
+    *_, ends = walk_batch(law, params, 2, [substream(107, "walk")] * n)
+    a2 = ends[:, 0, 0]
     g = substream(107, "sphere-2").standard_normal((n, 2, p))
     z = g / np.linalg.norm(g, axis=2, keepdims=True)
     b2 = np.linalg.norm(z.sum(axis=1), axis=1)

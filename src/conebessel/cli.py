@@ -384,6 +384,18 @@ def _cmd_dunkl(res: _Resolved):
     print(f"wrote {path} ({len(rows)} rows) and {echo}")
 
 
+def _frobenius(a) -> float:
+    """Frobenius norm of a matrix whose entries may pass 1e150, finite
+    whenever it is representable: where the sum of squares overflows, the
+    norm is taken after dividing by the largest entry."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(a)
+    top = np.max(np.abs(a))
+    return plain if np.isfinite(plain) else top * np.linalg.norm(a / top)
+
+
 def _cmd_walk(res: _Resolved):
     """Replicate cone walks; one row per step with the upper-triangle
     coordinates of S_k (re/im pairs over the complex field) plus trace
@@ -404,17 +416,19 @@ def _cmd_walk(res: _Resolved):
     rngs = [substream(cfg.seed, "walk", rep) for rep in range(cfg.replicates)]
     # all steps run before any row is formatted, so a failing walk formats nothing
     history = list(walk_batch(res.law, res.params, cfg.steps, rngs))
+    # below 1e150 no square overflows, so the norm needs no scaled fallback
+    wide = [np.max(np.abs(states)) >= 1e150 for states in history]
     rows = []
     for rep in range(cfg.replicates):
         for step, states in enumerate(history):
-            point = states[rep]
-            a = point.array
+            a = states[rep]
             vals = []
             for i, j in pairs:
                 vals.append(_g(np.real(a[i, j])))
                 if cfg.d == 2:
                     vals.append(_g(np.imag(a[i, j])))
-            vals += [_g(point.trace()), _g(point.norm())]
+            norm = _frobenius(a) if wide[step] else np.linalg.norm(a)
+            vals += [_g(np.real(np.trace(a))), _g(norm)]
             rows.append(f"{rep},{step}," + ",".join(vals))
     header = "replicate,k," + ",".join(coord_cols) + ",tr,norm"
     path = res.write_csv("walk", header, rows)

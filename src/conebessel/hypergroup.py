@@ -11,10 +11,13 @@ law arises as the radial part of sums of p x q matrices with uniformly
 rotated frames; tests/orbit_oracle.py simulates that picture as an
 independent check of this module.
 
-Replicate walks run as a batch (walk_batch): each keeps its own random
-stream and draws all of its randomness when the walk starts, and one
-kernel step advances all of them with stacked arithmetic.  A lone walk or
-convolution is the batch of one.
+Replicate walks run as a batch (walk_batch): the states are one stacked
+(R, q, q) array, each walk keeps its own random stream and draws all of its
+randomness when the walk starts, and one kernel step advances all of them
+with stacked arithmetic.  Streams draw one after another, so the batch of
+m walks on [rng] * m is m successive walks on rng.  A ConeMatrix, with its
+checks, is built only where a state leaves the package: walk_simulate and
+convolve_sample.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .linalg import (
     _ball_points,
     _ball_variates,
     _psd_sqrt_stack,
-    psd_sqrt,  # noqa: F401  (looked up here by the perfbench span recorder)
+    _real_if_exact,
+    psd_sqrt,
 )
 
 
@@ -78,29 +82,26 @@ class RadialLaw:
         return int(self._cdf.searchsorted(rng.random(), side="right"))
 
 
-def _sample_ball_batch(params: StructureParams, rngs, n: int) -> np.ndarray:
-    """n draws from the ball density per stream, stacked (len(rngs), n, q, q).
-
-    Each stream makes the two generator calls of linalg._ball_variates for
-    its n draws; the arithmetic then runs once over all of them and gives
-    each draw the bits it would get alone.
-    """
+def _ball_stack(params: StructureParams, variates, n: int) -> np.ndarray:
+    """Ball draws (len(variates), n, q, q) from per-stream _ball_variates of
+    n draws each, in one pass that gives each draw the bits it gets alone."""
     q = params.q
-    if not rngs:
+    if not variates:
         return np.empty((0, n, q, q), dtype=params.dtype)
-    draws = [_ball_variates(params, rng, n) for rng in rngs]
-    z = np.concatenate([normals for normals, _ in draws])
-    g = np.concatenate([gammas for _, gammas in draws])
-    return _ball_points(params, z, g).reshape(len(rngs), n, q, q)
+    z = np.concatenate([normals for normals, _ in variates])
+    g = np.concatenate([gammas for _, gammas in variates])
+    return _ball_points(params, z, g).reshape(len(variates), n, q, q)
 
 
-def _convolve_stack(r: np.ndarray, s: np.ndarray, v: np.ndarray) -> list:
-    """One draw from delta_r[i] * delta_s[i] for stacked nonzero pairs r, s
-    of shape (n, q, q) and ball draws v[i]: the walk-step kernel.
+def _sample_ball_batch(params: StructureParams, rngs, n: int) -> np.ndarray:
+    """n draws from the ball density per stream, stacked (len(rngs), n, q, q):
+    each stream in turn makes the two generator calls of _ball_variates."""
+    return _ball_stack(params, [_ball_variates(params, rng, n) for rng in rngs], n)
 
-    The arithmetic runs once over the stack; each pair gets the bits that
-    a stack of one would give it.
-    """
+
+def _step_square(r: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """r^2 + s^2 + s v r + r v* s for stacked r, s, v (n, q, q), exactly
+    Hermitian and checked finite: the square of a step from r by s."""
     # an overflow here is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         m = r @ r + s @ s + s @ v @ r + r @ v.conj().swapaxes(1, 2) @ s
@@ -109,7 +110,14 @@ def _convolve_stack(r: np.ndarray, s: np.ndarray, v: np.ndarray) -> list:
     # + s(I - vv*)s with |v| < 1: only finiteness is left to check
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
-    return _psd_sqrt_stack(m)
+    return m
+
+
+def _convolve_stack(r: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One draw from delta_r[i] * delta_s[i] for stacked nonzero pairs r, s
+    (n, q, q) and ball draws v[i], stacked: the walk-step kernel.  Each pair
+    gets the bits that a stack of one, and convolve_sample, would give it."""
+    return _psd_sqrt_stack(_step_square(r, s, v))
 
 
 def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> ConeMatrix:
@@ -127,54 +135,56 @@ def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> 
     if sm.is_zero():
         return rm
     v = _sample_ball_batch(params, [rng], 1)[0]
-    return _convolve_stack(rm.array[None], sm.array[None], v)[0]
+    return psd_sqrt(ConeMatrix(_step_square(rm.array[None], sm.array[None], v)[0]))
 
 
 def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
     """Independent walks started at zero, one per stream, advanced together.
 
-    Yields the list of current states, one ConeMatrix per stream, for
-    S_0 = 0, S_1, ..., S_n.  At the start each stream draws rng.random(n)
-    for its atom picks and then its n ball draws, so a walk's stream use
-    does not depend on its path: a draw that a zero state (which takes the
+    Yields S_0 = 0, S_1, ..., S_n, each a new (len(rngs), q, q) array of
+    dtype params.dtype, one matrix per stream.  Each stream in turn draws
+    rng.random(n) for its atom picks and then its n ball draws, so its use
+    does not depend on the path: a draw that a zero state (which takes the
     atom) or a zero atom (which keeps the state) leaves unused is still
-    drawn.  The other walks take one _convolve_stack step together, so walk
+    drawn.  The other walks take one _convolve_stack step together.  So walk
     i is walk_simulate(nu, params, n_steps, rngs[i]) bit for bit, whatever
-    the other streams are.
+    the other streams are, and walk_batch(nu, params, n_steps, [rng] * m)
+    is m successive walk_simulate(nu, params, n_steps, rng) calls.
     """
     if nu.q != params.q:
         raise DimensionError("law rank does not match params")
     if n_steps < 0:
         raise DomainError("n_steps must be nonnegative")
-    u = np.array([rng.random(n_steps) for rng in rngs]).reshape(len(rngs), n_steps)
-    balls = _sample_ball_batch(params, rngs, n_steps)
-    states = [ConeMatrix(np.zeros((params.q, params.q), dtype=params.dtype))] * len(rngs)
-    yield states
-    zero = [True] * len(rngs)
     atoms = np.stack([a.array for a in nu.atoms])
-    atom_zero = [a.is_zero() for a in nu.atoms]
-    for step, picks in enumerate(nu._cdf.searchsorted(u.T, side="right").tolist()):
-        states = list(states)
-        live = []
-        for i, k in enumerate(picks):
-            if zero[i]:
-                states[i], zero[i] = nu.atoms[k], atom_zero[k]
-            elif not atom_zero[k]:
-                live.append(i)
-        if live:
-            # a real state joins a complex stack with imaginary part +0.0,
-            # the cast numpy gives it in a step of its own
-            ra = np.stack([states[i].array for i in live])
-            sa = atoms[[picks[i] for i in live]]
-            for i, x in zip(live, _convolve_stack(ra, sa, balls[live, step])):
-                states[i], zero[i] = x, x.is_zero()
+    if np.iscomplexobj(atoms) and params.d == 1:
+        raise DomainError("a law with complex atoms needs the complex field, d=2")
+    draws = [(rng.random(n_steps), _ball_variates(params, rng, n_steps)) for rng in rngs]
+    u = np.array([picks for picks, _ in draws]).reshape(len(rngs), n_steps)
+    balls = _ball_stack(params, [variates for _, variates in draws], n_steps)
+    states = np.zeros((len(rngs), params.q, params.q), dtype=params.dtype)
+    zero = np.ones(len(rngs), dtype=bool)
+    yield states
+    atom_zero = np.array([a.is_zero() for a in nu.atoms])
+    for step, picks in enumerate(nu._cdf.searchsorted(u.T, side="right")):
+        states = states.copy()
+        live = ~zero & ~atom_zero[picks]
+        # a zero state takes the atom, and stays zero if the atom is zero
+        states[zero] = atoms[picks[zero]]
+        zero = zero & atom_zero[picks]
+        if live.any():
+            # the dtype that stacking the states' ConeMatrix arrays (each
+            # real when its imaginary part is zero) gives, which fixes the
+            # step's bits
+            r = _real_if_exact(states[live])
+            states[live] = _convolve_stack(r, atoms[picks[live]], balls[live, step])
+            zero[live] = ~states[live].any(axis=(1, 2))
         yield states
 
 
 def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng) -> tuple:
     """Random walk started at zero: each step convolves with a fresh atom of nu.
 
-    Returns the states S_0 = 0, S_1, ..., S_n as a tuple of ConeMatrix; the
-    one-stream case of walk_batch.
+    Returns the states S_0 = 0, S_1, ..., S_n as a tuple of validated
+    ConeMatrix; the one-stream case of walk_batch.
     """
-    return tuple(states[0] for states in walk_batch(nu, params, n_steps, [rng]))
+    return tuple(ConeMatrix(states[0]) for states in walk_batch(nu, params, n_steps, [rng]))

@@ -5,9 +5,9 @@ drivers) goes through the small set of primitives defined here, so the
 numerical policy is in one place: Hermiticity is enforced to 1e-12
 relative, positive semidefiniteness to 1e-10 relative with eigenvalue
 clamping at construction, and eigendecomposition is the single primitive
-used for square roots.  These checks run where outside input enters; an
-array that is Hermitian and PSD by construction (a walk step) takes the
-same spectral path without them.
+used for square roots.  These checks run where outside input enters; a
+stack of arrays that are Hermitian and PSD by construction (a walk step)
+takes the same spectral path without them.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ def _imag_free(a: np.ndarray):
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """a, or its real part when every imaginary part is exactly zero."""
-    if np.iscomplexobj(a) and _imag_free(a):
+    """a, one matrix or a stack, or its real part when every imaginary part
+    of every matrix is exactly zero."""
+    if np.iscomplexobj(a) and _imag_free(a).all():
         return a.real
     return a
 
@@ -140,9 +141,6 @@ class HermitianMatrix:
         """Eigenvalues in descending order."""
         return np.linalg.eigvalsh(self.array)[::-1]
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.array)))
-
     def __repr__(self):
         return f"{type(self).__name__}(q={self.q})"
 
@@ -173,34 +171,16 @@ class ConeMatrix(HermitianMatrix):
 
     @classmethod
     def _from_eigh(cls, eigs_desc: np.ndarray, vecs: np.ndarray) -> "ConeMatrix":
-        """Build directly from a known eigendecomposition (internal fast path)."""
+        """Build directly from a known eigendecomposition, unchecked."""
         e, a = _rebuild(np.asarray(eigs_desc, dtype=float), vecs)
-        return cls._of(_real_if_exact(a), e, vecs.copy())
-
-    @classmethod
-    def _of(cls, array: np.ndarray, eigs: np.ndarray, vecs: np.ndarray) -> "ConeMatrix":
-        """Wrap an array and its clamped descending spectrum, unchecked."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "array", array)
-        object.__setattr__(obj, "eigs", eigs)
-        object.__setattr__(obj, "_vecs", vecs)
+        object.__setattr__(obj, "array", _real_if_exact(a))
+        object.__setattr__(obj, "eigs", e)
+        object.__setattr__(obj, "_vecs", vecs.copy())
         return obj
 
     def eigenvalues(self) -> np.ndarray:
         return self.eigs
-
-    def norm(self) -> float:
-        """Frobenius norm; finite whenever it is representable."""
-        if self.eigs[0] < 1e150:
-            # no entry exceeds the top eigenvalue, so no square overflows
-            return float(np.linalg.norm(self.array))
-        with np.errstate(over="ignore"):
-            plain = np.linalg.norm(self.array)
-        if np.isfinite(plain):
-            return float(plain)
-        # the sum of squares overflowed: scale by the largest entry
-        top = np.max(np.abs(self.array))
-        return float(top * np.linalg.norm(self.array / top))
 
     def is_zero(self) -> bool:
         return not np.any(self.array)
@@ -212,29 +192,29 @@ def psd_sqrt(a) -> ConeMatrix:
     return ConeMatrix._from_eigh(np.sqrt(c.eigs), c._vecs)
 
 
-def _psd_sqrt_stack(m: np.ndarray) -> list:
-    """psd_sqrt(ConeMatrix(m[i])) for each matrix of a stack (n, q, q) that
-    is finite, exactly Hermitian and PSD up to rounding by construction, so
-    the checks are skipped: one eigh, a clamp, a square root and a rebuild.
+def _psd_sqrt_stack(m: np.ndarray) -> np.ndarray:
+    """psd_sqrt(ConeMatrix(m[i])).array for each matrix of a stack (n, q, q)
+    that is finite, exactly Hermitian and PSD up to rounding by construction,
+    so the checks are skipped: one eigh, a clamp, a square root and a
+    rebuild, stacked in an array of m's dtype.
 
-    Whether a complex matrix counts as real is decided per matrix, before
-    eigh and again after the rebuild, because real and complex inputs take
-    different LAPACK routines; the results equal the one-matrix path bit
-    for bit.
+    Whether a complex matrix counts as real is decided per matrix before
+    eigh, because real and complex inputs take different LAPACK routines,
+    and a root with no imaginary part gets +0.0 imaginary parts, as the
+    real array of the one-matrix path would: the same bits as that path.
     """
-    out = [None] * m.shape[0]
-    groups = [(range(m.shape[0]), m)]
-    if np.iscomplexobj(m):
-        real = _imag_free(m)
-        groups = [(np.flatnonzero(real), m.real[real]), (np.flatnonzero(~real), m[~real])]
-    for rows, h in groups:
-        if len(rows) == 0:
-            continue
+    def roots(h):
         _, eigs, vecs = _clamped_spectrum(h)
-        e, a = _rebuild(np.sqrt(eigs), vecs)
-        exact = _imag_free(a) if np.iscomplexobj(a) else np.zeros(len(rows), dtype=bool)
-        for k, i in enumerate(rows):
-            out[i] = ConeMatrix._of(a[k].real if exact[k] else a[k], e[k], vecs[k])
+        return _rebuild(np.sqrt(eigs), vecs)[1]
+
+    if not np.iscomplexobj(m):
+        return roots(m)
+    out = np.empty_like(m)
+    real = _imag_free(m)
+    out[real] = roots(m.real[real])
+    a = roots(m[~real])
+    a.imag[_imag_free(a)] = 0.0
+    out[~real] = a
     return out
 
 

@@ -153,6 +153,10 @@ def test_walk_simulate_shape_and_determinism():
         walk_simulate(law, params, -1, substream(14, "walk", 1))
     with pytest.raises(DimensionError):
         walk_simulate(_law(1, [(1.0,)]), params, 2, substream(14, "walk", 2))
+    # a real walk's stacked states cannot hold a complex atom
+    complex_law = RadialLaw(weights=(1.0,), atoms=(np.array([[1.0, 0.5j], [-0.5j, 1.0]]),))
+    with pytest.raises(DomainError, match="d=2"):
+        walk_simulate(complex_law, params, 2, substream(14, "walk", 3))
 
 
 def test_orbit_walk_matches_convolution_walk_in_law():
@@ -217,14 +221,32 @@ def test_walk_batch_matches_one_stream_walks_bit_for_bit():
         law = _law(q, [np.linspace(1.0, 0.6, q), np.zeros(q), np.linspace(0.5, 0.7, q)],
                    weights=(0.4, 0.3, 0.3))
         batch = list(walk_batch(law, params, 7, [substream(20, "batch", r) for r in range(5)]))
-        assert len(batch) == 8 and all(len(states) == 5 for states in batch)
+        assert len(batch) == 8
+        assert all(states.shape == (5, q, q) and states.dtype == params.dtype for states in batch)
         for r in range(5):
             alone = walk_simulate(law, params, 7, substream(20, "batch", r))
             for k, point in enumerate(alone):
                 got = batch[k][r]
-                assert got.array.dtype == point.array.dtype
-                assert np.array_equal(got.array, point.array)
-                assert np.array_equal(got.eigs, point.eigs)
+                assert np.array_equal(got, point.array)
+                # a real state reads +0.0, never -0.0, in the imaginary parts
+                if not np.iscomplexobj(point.array):
+                    assert not np.any(np.signbit(np.imag(got)))
+
+
+def test_walk_batch_on_one_stream_is_successive_walks():
+    # each stream draws its atom picks and then its ball variates before the
+    # next stream draws, so m walks on [rng] * m are m successive walks on rng
+    for q, d in ((1, 1), (1, 2), (2, 2), (3, 1)):
+        params = StructureParams(q=q, d=d, mu=3.0 * q + 3.0)
+        law = _law(q, [np.linspace(1.0, 0.6, q), np.zeros(q), np.linspace(0.5, 0.7, q)],
+                   weights=(0.4, 0.3, 0.3))
+        rng = substream(21, f"one-stream:{q}:{d}")
+        batch = list(walk_batch(law, params, 7, [rng] * 4))
+        rng = substream(21, f"one-stream:{q}:{d}")
+        for r in range(4):
+            alone = walk_simulate(law, params, 7, rng)
+            for k, point in enumerate(alone):
+                assert np.array_equal(batch[k][r], point.array)
 
 
 # SHA-256 of the seeded walk and ldp CSVs below the config-hash line (which

@@ -45,7 +45,6 @@ def test_hermitian_matrix_stores_hermitian_part():
     h = HermitianMatrix(np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]]))
     assert np.allclose(h.array, h.array.T)
     assert h.q == 2
-    assert h.trace() == pytest.approx(4.0)
     w = h.eigenvalues()
     assert w[0] >= w[1]  # descending
 
@@ -97,7 +96,6 @@ def test_cone_matrix_clamps_tiny_negative_eigenvalues():
         ConeMatrix(np.diag([1.0, -0.5]))
     assert ConeMatrix(np.zeros((2, 2))).is_zero()
     assert not c.is_zero()
-    assert c.norm() == pytest.approx(np.linalg.norm(c.array))
 
 
 def test_psd_sqrt_squares_back():
@@ -112,7 +110,7 @@ def test_psd_sqrt_squares_back():
 def test_stacked_square_root_matches_one_matrix_path():
     # one stack mixing complex matrices and complex-typed real ones: each
     # goes to the LAPACK routine of its own kind and gets the bits of
-    # psd_sqrt(ConeMatrix(m)), dtype included
+    # psd_sqrt(ConeMatrix(m)), and a real root reads +0.0 imaginary parts
     rng = np.random.default_rng(7)
     for q in (1, 2, 3):
         stack = []
@@ -121,12 +119,13 @@ def test_stacked_square_root_matches_one_matrix_path():
             h = rng.standard_normal((q, q))
             stack += [g @ g.conj().T, (h @ h.T).astype(complex)]
         stack = np.stack([(m + m.conj().T) / 2.0 for m in stack])
-        for m, got in zip(stack, _psd_sqrt_stack(stack)):
+        roots = _psd_sqrt_stack(stack)
+        assert roots.shape == stack.shape and roots.dtype == stack.dtype
+        for m, got in zip(stack, roots):
             want = psd_sqrt(ConeMatrix(m))
-            assert got.array.dtype == want.array.dtype
-            assert np.array_equal(got.array, want.array)
-            assert np.array_equal(got.eigs, want.eigs)
-            assert np.array_equal(got._vecs, want._vecs)
+            assert np.array_equal(got, want.array)
+            if not np.iscomplexobj(want.array):
+                assert not np.any(np.signbit(got.imag))
 
 
 @pytest.mark.parametrize("d", (1, 2))
