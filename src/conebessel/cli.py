@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: bessel, dunkl, walk, lln, slln, ldp, check.  Each run takes
-a flat JSON config file plus flag overrides, validates everything before
+Subcommands: bessel, dunkl, walk, lln, slln, ldp, check.  _SUBCOMMANDS
+names the RunConfig fields each run reads; those fields, and no others,
+are its flags and the config-file fields it takes (a known field it does
+not read is dropped with a note).  Each run validates everything before
 computing, and leaves two artifacts in the output directory: a CSV whose
 first two lines carry the config hash with the stream version
 (seeds.STREAM_VERSION) and the master seed, and a config echo JSON that
-records the stream version and re-parses to the exact RunConfig used.
+holds the stream version and the fields read, and re-parses to itself.
 Identical (config, seed) pairs produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 acceptance-criterion failure (check only),
@@ -44,8 +46,6 @@ _THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-_SCHEDULE_KEYS = ("mu_family", "mu_c", "mu_b", "n_family", "n_c", "n_b")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,7 +142,9 @@ def _find_key_line(raw_text, key):
     return None
 
 
-def load_config_file(path) -> RunConfig:
+def load_config_file(path, command=None) -> RunConfig:
+    """The config a JSON file describes.  For a subcommand, a known field it
+    does not read is dropped, unvalidated and unhashed, with one note."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -154,6 +156,14 @@ def load_config_file(path) -> RunConfig:
         raise ConfigError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object", path=path, line=1)
+    if command is not None:
+        reads = {"experiment", *_SUBCOMMANDS[command][3]}
+        known = {f.name for f in dataclasses.fields(RunConfig)}
+        unread = [key for key in data if key in known - reads]
+        if unread:
+            print(f"note: {command} does not read config field(s) {', '.join(unread)}; "
+                  "ignored", file=sys.stderr)
+            data = {key: val for key, val in data.items() if key not in unread}
     return RunConfig.from_dict(data, path=path, raw_text=raw)
 
 
@@ -173,7 +183,10 @@ def _parse_floats(value, what: str) -> tuple:
 def parse_grid(text):
     """Accept "start:stop:step" (stop inclusive up to rounding) or a comma list."""
     if isinstance(text, (list, tuple)) or ":" not in str(text):
-        return _parse_floats(text, "grid")
+        grid = _parse_floats(text, "grid")
+        if not grid:
+            raise ConfigError(f"empty grid {text!r}")
+        return grid
     pieces = str(text).strip().split(":")
     if len(pieces) != 3:
         raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
@@ -184,10 +197,29 @@ def parse_grid(text):
     return tuple(start + i * step for i in range(count))
 
 
-def _parse_atoms(text):
-    """Atom list flag: diagonals separated by ';', entries by ','."""
-    chunks = (c for c in str(text).split(";") if c.strip())
-    return tuple(_parse_floats(c, "atom diagonal") for c in chunks)
+def _parse_atoms(value):
+    """Atom diagonals: a list of lists (a bare number is a rank-one
+    diagonal), or text with diagonals separated by ';', entries by ','."""
+    if not isinstance(value, (list, tuple)):
+        value = [c for c in str(value).split(";") if c.strip()]
+    return tuple(
+        _parse_floats(c if isinstance(c, (list, tuple, str)) else (c,), "atom diagonal")
+        for c in value
+    )
+
+
+def _number(key: str, kind, low=-math.inf, high=math.inf):
+    """Parser of a scalar field: a `kind` (an int passes as a float) in
+    [low, high), or None where that is the field's default."""
+
+    def parse(value):
+        if value is None and getattr(RunConfig, key) is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, kind)) or not low <= value < high:
+            raise ConfigError(f"{key} must be {kind.__name__} in [{low}, {high}), got {value!r}")
+        return kind(value)
+
+    return parse
 
 
 def _apply_threads(flag_value):
@@ -204,104 +236,74 @@ def _apply_threads(flag_value):
         os.environ[var] = str(n)
 
 
-_OVERRIDE_KEYS = (
-    "q", "d", "mu", "mu_family", "mu_c", "mu_b", "n_family", "n_c", "n_b",
-    "epsilon", "replicates", "steps", "k_max", "n_samples",
-    "series_tol", "max_weight", "seed", "out",
-)
-
-
-def _merge_flags(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    for key in _OVERRIDE_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            updates[key] = val
-    if getattr(args, "grid", None) is not None:
-        updates["grid"] = parse_grid(args.grid)
-    if getattr(args, "atoms", None) is not None:
-        updates["atoms"] = _parse_atoms(args.atoms)
-    for key in ("weights", "xi", "eta", "t_values"):
-        val = getattr(args, key, None)
-        if val is not None:
-            updates[key] = _parse_floats(val, key)
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
-
-
 class _Resolved:
-    """Validated objects shared by the handlers; built before any compute."""
+    """The validated config of one run and the objects its handler uses,
+    built from the fields the subcommand reads, before any compute."""
 
     def __init__(self, cfg: RunConfig, command: str):
         import numpy as np
 
         from .hypergroup import RadialLaw
         from .limits import Schedule, config_hash
-        from .linalg import ConeMatrix, StructureParams
+        from .linalg import StructureParams
         from .seeds import STREAM_VERSION
 
-        if cfg.experiment is not None and cfg.experiment != command:
-            raise ConfigError(
-                f"config names experiment {cfg.experiment!r} but the "
-                f"{command!r} subcommand was invoked"
-            )
-        cfg = dataclasses.replace(cfg, experiment=command)
-        for key in ("weights", "xi", "eta", "t_values"):
-            _parse_floats(getattr(cfg, key), key)
+        _, _, grid_default, reads = _SUBCOMMANDS[command]
+        if cfg.experiment not in (None, command):
+            raise ConfigError(f"config names experiment {cfg.experiment!r} but the "
+                              f"{command!r} subcommand was invoked")
+        if cfg.grid is None:
+            cfg = dataclasses.replace(cfg, grid=grid_default)
+        parsed = {key: _PARSERS[key](getattr(cfg, key)) for key in reads if key in _PARSERS}
+        cfg = dataclasses.replace(cfg, experiment=command, **parsed)
 
-        self.schedule = Schedule(**{k: getattr(cfg, k) for k in _SCHEDULE_KEYS})
-        if command in ("lln", "slln", "ldp"):
-            mu0 = cfg.mu if cfg.mu is not None else self.schedule.mu(cfg.k_max)
-        else:
-            if cfg.mu is None and command in ("bessel", "walk"):
+        keys = [f.name for f in dataclasses.fields(Schedule) if f.name in reads]
+        self.schedule = Schedule(**{k: getattr(cfg, k) for k in keys}) if keys else None
+        # the indices the run evaluates at, each checked here: its mu,
+        # dunkl's grid of indices, or the schedule's index at k_max (slln,
+        # ldp) or at each of lln's walk lengths
+        if "mu" in reads:
+            if cfg.mu is None:
                 raise ConfigError(f"{command} requires mu (flag --mu or config field)")
-            mu0 = cfg.mu
-        grid = tuple(parse_grid(cfg.grid)) if cfg.grid is not None else None
-        if command == "dunkl":
-            # dunkl evaluates at the grid indices only and ignores a config mu
-            if grid is None:
-                grid = (64.0, 128.0, 256.0)
-            mu0 = max(grid)
-        self.params = StructureParams(q=cfg.q, d=cfg.d, mu=float(mu0))
+            indices = (cfg.mu,)
+        elif self.schedule is None:
+            indices = cfg.grid
+        else:
+            lengths = (cfg.k_max,) if "k_max" in reads else cfg.grid
+            for k in lengths:
+                if not float(k).is_integer():
+                    raise ConfigError(f"walk lengths must be whole numbers, got {k!r}")
+            indices = tuple(self.schedule.mu(int(k)) for k in lengths)
+        for mu in indices:
+            self.params = StructureParams(q=cfg.q, d=cfg.d, mu=mu)
 
-        raw_atoms = cfg.atoms
-        if raw_atoms == ((1.0,),) and cfg.q > 1:
-            # default step measure: the identity atom at the current rank
-            raw_atoms = ((1.0,) * cfg.q,)
-            cfg = dataclasses.replace(cfg, atoms=raw_atoms)
         self.law = None
-        if command in ("walk", "lln", "slln", "ldp"):
-            atoms = []
-            for diag in raw_atoms:
-                entries = diag if isinstance(diag, tuple) else (diag,)
-                if len(entries) != cfg.q:
-                    raise ConfigError(
-                        f"atom diagonal {list(entries)} needs exactly q={cfg.q} entries"
-                    )
-                atoms.append(ConeMatrix(np.diag(_parse_floats(entries, "atom diagonal"))))
-            self.law = RadialLaw(weights=cfg.weights, atoms=tuple(atoms))
+        if "atoms" in reads:
+            if cfg.atoms == ((1.0,),) and cfg.q > 1:
+                # default step measure: the identity atom at the current rank
+                cfg = dataclasses.replace(cfg, atoms=((1.0,) * cfg.q,))
+            for diag in cfg.atoms:
+                if len(diag) != cfg.q:
+                    raise ConfigError(f"atom diagonal {list(diag)} needs exactly q={cfg.q} entries")
+            atoms = tuple(np.diag(diag) for diag in cfg.atoms)
+            self.law = RadialLaw(weights=cfg.weights, atoms=atoms)
 
-        cfg = dataclasses.replace(cfg, grid=grid, mu=float(mu0))
         self.cfg = cfg
-        self.grid = grid
-        self.echo = {**cfg.as_dict(), "stream_version": STREAM_VERSION}
+        echo = {k: v for k, v in cfg.as_dict().items() if k == "experiment" or k in reads}
+        self.echo = {**echo, "stream_version": STREAM_VERSION}
         self.hash = config_hash(self.echo)
 
-    def write_csv(self, name: str, columns: str, rows) -> str:
+    def write(self, columns: str, rows: list, size: str | None = None):
+        """Write the CSV and the config echo, both named after the subcommand."""
         from .limits import csv_text
 
-        path = os.path.join(self.cfg.out, f"{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        stem = os.path.join(self.cfg.out, self.cfg.experiment)
+        with open(f"{stem}.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text(self.hash, self.cfg.seed, columns, rows))
-        return path
-
-    def write_echo(self, name: str) -> str:
-        path = os.path.join(self.cfg.out, f"{name}_config.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(f"{stem}_config.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.echo, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
+        print(f"wrote {stem}.csv ({size or f'{len(rows)} rows'}) and {stem}_config.json")
 
 
 def _g(x) -> str:
@@ -326,9 +328,8 @@ def _cmd_bessel(res: _Resolved):
     from .seeds import substream
 
     cfg = res.cfg
-    grid = res.grid if res.grid is not None else parse_grid("0:4:0.25")
     rows = []
-    for i, x in enumerate(grid):
+    for i, x in enumerate(cfg.grid):
         arg = (x * x / 4.0) * np.eye(cfg.q)
         val, tail = bessel_series(cfg.mu, arg, res.params, **_series_kwargs(cfg))
         half = (x / 2.0) * np.eye(cfg.q)
@@ -342,9 +343,7 @@ def _cmd_bessel(res: _Resolved):
         rows.append(
             f"{_g(x)},{_g(val)},{_g(tail)},{_g(mc)},{_g(se)},{classical}"
         )
-    path = res.write_csv("bessel", "x,series,series_tail,mc,mc_stderr,classical", rows)
-    echo = res.write_echo("bessel")
-    print(f"wrote {path} ({len(rows)} rows) and {echo}")
+    res.write("x,series,series_tail,mc,mc_stderr,classical", rows)
 
 
 def _cmd_dunkl(res: _Resolved):
@@ -365,7 +364,7 @@ def _cmd_dunkl(res: _Resolved):
     a_limit, _ = hyper_0F0(2.0 / cfg.d, -x2, e2, **kw)
     envelope_scale = min(1.0, float(np.linalg.norm(x2) * np.linalg.norm(e2)) ** 2)
     rows = []
-    for i, mu in enumerate(res.grid):
+    for i, mu in enumerate(cfg.grid):
         b_val, se = bessel_B_mc(
             xi.scaled(2.0 * math.sqrt(mu)),
             eta,
@@ -379,9 +378,7 @@ def _cmd_dunkl(res: _Resolved):
         rows.append(
             f"{_g(mu)},{_g(b_val)},{_g(se)},{_g(a_limit)},{_g(gap)},{_g(envelope)}"
         )
-    path = res.write_csv("dunkl", "mu,b_value,b_stderr,a_limit,gap,envelope", rows)
-    echo = res.write_echo("dunkl")
-    print(f"wrote {path} ({len(rows)} rows) and {echo}")
+    res.write("mu,b_value,b_stderr,a_limit,gap,envelope", rows)
 
 
 def _frobenius(a) -> float:
@@ -431,9 +428,7 @@ def _cmd_walk(res: _Resolved):
             vals += [_g(np.real(np.trace(a))), _g(norm)]
             rows.append(f"{rep},{step}," + ",".join(vals))
     header = "replicate,k," + ",".join(coord_cols) + ",tr,norm"
-    path = res.write_csv("walk", header, rows)
-    echo = res.write_echo("walk")
-    print(f"wrote {path} ({cfg.replicates} paths x {cfg.steps} steps) and {echo}")
+    res.write(header, rows, f"{cfg.replicates} paths x {cfg.steps} steps")
 
 
 def _cmd_lln(res: _Resolved):
@@ -441,13 +436,10 @@ def _cmd_lln(res: _Resolved):
     from .limits import REPORT_COLUMNS, wlln_experiment
 
     cfg = res.cfg
-    k_grid = tuple(int(k) for k in (res.grid or (25.0, 100.0, 400.0)))
     report = wlln_experiment(
-        res.law, res.params, res.schedule, k_grid, cfg.replicates, cfg.epsilon, cfg.seed
+        res.law, res.params, res.schedule, cfg.grid, cfg.replicates, cfg.epsilon, cfg.seed
     )
-    path = res.write_csv("lln", REPORT_COLUMNS, report.csv_rows())
-    echo = res.write_echo("lln")
-    print(f"wrote {path} ({len(report.rows)} rows) and {echo}")
+    res.write(REPORT_COLUMNS, report.csv_rows())
 
 
 def _cmd_slln(res: _Resolved):
@@ -456,11 +448,9 @@ def _cmd_slln(res: _Resolved):
 
     cfg = res.cfg
     report = slln_experiment(res.law, res.params, res.schedule, cfg.k_max, cfg.seed)
-    path = res.write_csv("slln", REPORT_COLUMNS, report.csv_rows())
-    echo = res.write_echo("slln")
     for diag in report.diagnostics:
         print(f"schedule condition {diag.name}: {diag.verdict}")
-    print(f"wrote {path} ({len(report.rows)} rows) and {echo}")
+    res.write(REPORT_COLUMNS, report.csv_rows())
 
 
 def _cmd_ldp(res: _Resolved):
@@ -483,20 +473,17 @@ def _cmd_ldp(res: _Resolved):
             warned = True
         rows.append(f"c_k,{_g(t)},{_g(c_k)},{_g(se)}")
         rows.append(f"c_limit,{_g(t)},{_g(c_lim)},0")
-    s_grid = res.grid if res.grid is not None else parse_grid("0.1:0.9:0.1")
-    for s in s_grid:
+    for s in cfg.grid:
         val = rate_function(res.law, res.params, float(s))
         out = "inf" if math.isinf(val) else _g(val)
         rows.append(f"rate,{_g(s)},{out},0")
-    path = res.write_csv("ldp", "kind,arg,value,stderr", rows)
-    echo = res.write_echo("ldp")
+    res.write("kind,arg,value,stderr", rows)
     if warned:
         print(
             "warning: free-energy standard error above 20% of the value; "
             "increase replicates",
             file=sys.stderr,
         )
-    print(f"wrote {path} ({len(rows)} rows) and {echo}")
 
 
 def _cmd_check(args) -> int:
@@ -515,60 +502,65 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
-_HANDLERS = {
-    "bessel": _cmd_bessel,
-    "dunkl": _cmd_dunkl,
-    "walk": _cmd_walk,
-    "lln": _cmd_lln,
-    "slln": _cmd_slln,
-    "ldp": _cmd_ldp,
-}
-
-
-# each subcommand takes the common flags plus exactly the ones its run reads
-_COMMON_FLAGS = "--config --seed --out --threads --q --d"
+# name: (help, handler, default grid, the RunConfig fields its run reads);
+# each field read is also a flag, --n-samples for n_samples
 _SUBCOMMANDS = {
-    "bessel": ("evaluate the matrix Bessel function on a grid",
-               "--mu --grid --n-samples --series-tol --max-weight"),
-    "dunkl": ("chamber kernel values and flat-limit gaps",
-              "--grid --n-samples --series-tol --max-weight --xi --eta"),
-    "walk": ("simulate cone walks to CSV", "--mu --replicates --weights --atoms --steps"),
-    "lln": ("weak-law tail probabilities",
-            "--grid --replicates --weights --atoms --mu-family --mu-c --mu-b --epsilon"),
-    "slln": ("strong-law single-path deviations",
-             "--weights --atoms --mu-family --mu-c --mu-b --n-family --n-c --n-b --k-max"),
-    "ldp": ("free energy and rate function",
-            "--grid --replicates --weights --atoms --mu-family --mu-c --mu-b "
-            "--n-family --n-c --n-b --k-max --t-values"),
+    "bessel": ("evaluate the matrix Bessel function on a grid", _cmd_bessel, "0:4:0.25",
+               ("q", "d", "seed", "out", "mu", "grid", "n_samples", "series_tol", "max_weight")),
+    "dunkl": ("chamber kernel values and flat-limit gaps", _cmd_dunkl, "64,128,256",
+              ("q", "d", "seed", "out", "grid", "n_samples", "series_tol", "max_weight",
+               "xi", "eta")),
+    "walk": ("simulate cone walks to CSV", _cmd_walk, None,
+             ("q", "d", "seed", "out", "mu", "replicates", "weights", "atoms", "steps")),
+    "lln": ("weak-law tail probabilities", _cmd_lln, "25,100,400",
+            ("q", "d", "seed", "out", "grid", "replicates", "weights", "atoms",
+             "mu_family", "mu_c", "mu_b", "epsilon")),
+    "slln": ("strong-law single-path deviations", _cmd_slln, None,
+             ("q", "d", "seed", "out", "weights", "atoms", "mu_family", "mu_c", "mu_b",
+              "n_family", "n_c", "n_b", "k_max")),
+    "ldp": ("free energy and rate function", _cmd_ldp, "0.1:0.9:0.1",
+            ("q", "d", "seed", "out", "grid", "replicates", "weights", "atoms",
+             "mu_family", "mu_c", "mu_b", "n_family", "n_c", "n_b", "k_max", "t_values")),
 }
 
 _FLAG_SPECS = {
-    "--config": dict(help="flat JSON config file"),
-    "--seed": dict(type=int, help="master seed (unsigned 64-bit)"),
-    "--out": dict(help="output directory"),
-    "--threads": dict(help="BLAS thread count (or CONEBESSEL_THREADS)"),
-    "--q": dict(type=int, help="matrix rank"),
-    "--d": dict(type=int, choices=(1, 2), help="field dimension: 1 real, 2 complex"),
-    "--mu": dict(type=float, help="cone index"),
-    "--grid": dict(help='abscissa grid, "start:stop:step" or comma list'),
-    "--replicates": dict(type=int),
-    "--n-samples": dict(type=int, help="Monte Carlo sample count"),
-    "--series-tol": dict(type=float),
-    "--max-weight": dict(type=int),
-    "--weights": dict(help="comma list of atom weights"),
-    "--atoms": dict(help="atom diagonals: entries comma-separated, atoms ';'-separated"),
-    "--mu-family": dict(choices=("poly", "pow2")),
-    "--mu-c": dict(type=float),
-    "--mu-b": dict(type=float),
-    "--n-family": dict(choices=("poly", "polylog")),
-    "--n-c": dict(type=float),
-    "--n-b": dict(type=float),
-    "--k-max": dict(type=int),
-    "--xi": dict(help="comma list, strictly positive decreasing"),
-    "--eta": dict(help="comma list, strictly positive decreasing"),
-    "--steps": dict(type=int, help="steps per path"),
-    "--epsilon": dict(type=float, help="deviation threshold"),
-    "--t-values": dict(help="comma list of tilt parameters"),
+    "config": dict(help="flat JSON config file"),
+    "threads": dict(help="BLAS thread count (or CONEBESSEL_THREADS)"),
+    "seed": dict(type=int, help="master seed (unsigned 64-bit)"),
+    "out": dict(help="output directory"),
+    "q": dict(type=int, help="matrix rank"),
+    "d": dict(type=int, choices=(1, 2), help="field dimension: 1 real, 2 complex"),
+    "mu": dict(type=float, help="cone index"),
+    "grid": dict(help='abscissa grid, "start:stop:step" or comma list'),
+    "replicates": dict(type=int),
+    "n_samples": dict(type=int, help="Monte Carlo sample count"),
+    "series_tol": dict(type=float),
+    "max_weight": dict(type=int),
+    "weights": dict(help="comma list of atom weights"),
+    "atoms": dict(help="atom diagonals: entries comma-separated, atoms ';'-separated"),
+    "mu_family": dict(choices=("poly", "pow2")),
+    "mu_c": dict(type=float),
+    "mu_b": dict(type=float),
+    "n_family": dict(choices=("poly", "polylog")),
+    "n_c": dict(type=float),
+    "n_b": dict(type=float),
+    "k_max": dict(type=int),
+    "xi": dict(help="comma list, strictly positive decreasing"),
+    "eta": dict(help="comma list, strictly positive decreasing"),
+    "steps": dict(type=int, help="steps per path"),
+    "epsilon": dict(type=float, help="deviation threshold"),
+    "t_values": dict(help="comma list of tilt parameters"),
+}
+
+# field -> parser, applied alike to flag text and config values after the
+# two are merged, so that a malformed value exits 2 like any config error
+_PARSERS = {
+    **{key: _number(key, spec["type"]) for key, spec in _FLAG_SPECS.items() if "type" in spec},
+    "seed": _number("seed", int, 0, 2**64),
+    "replicates": _number("replicates", int, 1),
+    "grid": parse_grid,
+    "atoms": _parse_atoms,
+    **{k: functools.partial(_parse_floats, what=k) for k in ("weights", "xi", "eta", "t_values")},
 }
 
 
@@ -582,12 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matrix-cone Bessel functions, radial walks, and their limit theorems.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, _, _, reads) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for flag in f"{_COMMON_FLAGS} {flags}".split():
-            cmd.add_argument(flag, **_FLAG_SPECS[flag])
+        for key in ("config", "threads", *reads):
+            cmd.add_argument("--" + key.replace("_", "-"), **_FLAG_SPECS[key])
     check = sub.add_parser("check", help="run the acceptance suite", allow_abbrev=False)
-    check.add_argument("--threads", **_FLAG_SPECS["--threads"])
+    check.add_argument("--threads", **_FLAG_SPECS["threads"])
     return parser
 
 
@@ -598,14 +590,15 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        _apply_threads(getattr(args, "threads", None))
+        _apply_threads(args.threads)
         if args.command == "check":
             return _cmd_check(args)
-        cfg = load_config_file(args.config) if args.config else RunConfig()
-        cfg = _merge_flags(cfg, args)
-        res = _Resolved(cfg, args.command)
+        _, handler, _, reads = _SUBCOMMANDS[args.command]
+        cfg = load_config_file(args.config, args.command) if args.config else RunConfig()
+        flags = {key: getattr(args, key) for key in reads if getattr(args, key) is not None}
+        res = _Resolved(dataclasses.replace(cfg, **flags), args.command)
         os.makedirs(res.cfg.out, exist_ok=True)
-        _HANDLERS[args.command](res)
+        handler(res)
         return 0
     except ConfigError as exc:
         where = ""

@@ -67,9 +67,14 @@ class Schedule:
     def mu(self, k: int) -> float:
         if k < 1:
             raise DomainError("k starts at 1")
-        if self.mu_family == "poly":
-            return self.mu_c * float(k) ** self.mu_b
-        return self.mu_c * 2.0 ** float(k)
+        try:
+            power = float(k) ** self.mu_b if self.mu_family == "poly" else 2.0 ** float(k)
+            mu = self.mu_c * power
+        except OverflowError:
+            mu = math.inf
+        if not math.isfinite(mu):
+            raise DomainError(f"mu_{k} overflows a float; not a simulable schedule")
+        return mu
 
     def log_mu(self, k: int) -> float:
         """ln(mu_k), stable for schedules that overflow a float."""

@@ -210,3 +210,9 @@ def test_bessel_csv_matches_pinned_digest(csv_digest, q, d):
     argv = ["bessel", "--q", str(q), "--d", str(d), "--mu", "12", "--grid", "0:6:0.75",
             "--n-samples", "3000", "--seed", "23"]
     assert csv_digest(argv) == _BESSEL_DIGESTS[(q, d)]
+
+
+def test_bessel_default_grid_csv_matches_pinned_digest(csv_digest):
+    # no --grid: the subcommand's default grid 0:4:0.25
+    argv = ["bessel", "--q", "2", "--d", "1", "--mu", "4", "--n-samples", "500", "--seed", "5"]
+    assert csv_digest(argv) == "559becca0fbf1dea220310fc1af45edffcdb341b3f8a8c0ed2eee31f3b478121"

@@ -3,6 +3,7 @@
 Everything drives cli.main(argv) in-process; no subprocesses needed.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -115,22 +116,41 @@ def test_bessel_grid_run_matches_classical_column(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_bessel_echo_reparses_to_the_same_config(tmp_path):
-    rc = cli.main(
-        [
-            "bessel", "--q", "1", "--d", "1", "--mu", "3",
-            "--grid", "0:1:0.5", "--n-samples", "500",
-            "--seed", "2", "--out", str(tmp_path),
-        ]
-    )
-    assert rc == 0
-    echo = json.loads((tmp_path / "bessel_config.json").read_text())
+_SMALL_RUNS = (
+    ("bessel", "--mu", "3", "--grid", "0.5", "--n-samples", "100"),
+    ("dunkl", "--grid", "8", "--n-samples", "10"),
+    ("walk", "--mu", "3", "--replicates", "2", "--steps", "2"),
+    ("lln", "--grid", "2", "--replicates", "2"),
+    ("slln", "--k-max", "3"),
+    ("ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--k-max", "3",
+     "--replicates", "4", "--t-values", "0", "--grid", "0.5"),
+)
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda a: a[0])
+def test_bessel_echo_reparses_to_the_same_config(tmp_path, capsys, argv):
+    name = argv[0]
+    assert cli.main([*argv, "--q", "1", "--d", "1", "--seed", "2", "--out", str(tmp_path)]) == 0
+    echo = json.loads((tmp_path / f"{name}_config.json").read_text())
     cfg2 = cli.RunConfig.from_dict(echo)
-    res2 = cli._Resolved(cfg2, "bessel")
+    res2 = cli._Resolved(cfg2, name)
     assert res2.cfg == cfg2  # resolving an echoed config is a fixed point
+    assert res2.echo == echo
     assert echo["stream_version"] == STREAM_VERSION
-    header = (tmp_path / "bessel.csv").read_text().splitlines()[0]
+    # the echo holds exactly the fields the run read
+    assert set(echo) == {"experiment", "stream_version", *cli._SUBCOMMANDS[name][3]}
+    header = (tmp_path / f"{name}.csv").read_text().splitlines()[0]
     assert header == f"# config_hash={res2.hash} stream_version={STREAM_VERSION}"
+    capsys.readouterr()
+
+
+def test_echo_records_the_default_grid(tmp_path, capsys):
+    argv = ["bessel", "--q", "1", "--mu", "3", "--n-samples", "100", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    echo = json.loads((tmp_path / "bessel_config.json").read_text())
+    assert echo["grid"] == list(cli.parse_grid("0:4:0.25"))
+    assert cli._Resolved(cli.RunConfig.from_dict(echo), "bessel").echo == echo
+    capsys.readouterr()
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
@@ -147,17 +167,6 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert cli.main(argv) == 0
     assert (tmp_path / "bessel.csv").read_bytes() == csv1
     assert (tmp_path / "bessel_config.json").read_bytes() == echo1
-
-
-_SMALL_RUNS = (
-    ("bessel", "--mu", "3", "--grid", "0.5", "--n-samples", "100"),
-    ("dunkl", "--grid", "8", "--n-samples", "10"),
-    ("walk", "--mu", "3", "--replicates", "2", "--steps", "2"),
-    ("lln", "--grid", "2", "--replicates", "2"),
-    ("slln", "--k-max", "3"),
-    ("ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--k-max", "3",
-     "--replicates", "4", "--t-values", "0", "--grid", "0.5"),
-)
 
 
 @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda a: a[0])
@@ -255,6 +264,34 @@ def test_malformed_config_list_exits_two(tmp_path, capsys, field):
     assert "entries must be numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bessel", "--mu", "3", "--grid", "0.5", "--seed", "-1"], "seed must be int in [0, "),
+        (["walk", "--mu", "3", "--replicates", "0"], "replicates must be int in [1, "),
+        (["lln", "--grid", "2.7", "--replicates", "2"], "whole numbers, got 2.7"),
+        (["dunkl", "--grid", ","], "empty grid"),
+    ],
+)
+def test_out_of_range_value_exits_two(tmp_path, capsys, argv, message):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("q", "2"), ("seed", 1.5), ("mu_c", "x"), ("replicates", True)]
+)
+def test_mistyped_config_value_exits_two(tmp_path, capsys, field, value):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({field: value}), encoding="utf-8")
+    assert cli.main(["lln", "--config", str(p), "--grid", "2", "--out", str(tmp_path)]) == 2
+    assert f"config error: {field} must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_overflowing_walk_exits_two_without_csv(tmp_path, capsys):
     rc = cli.main(["walk", "--q", "1", "--mu", "6", "--atoms", "1e200", "--out", str(tmp_path)])
     assert rc == 2
@@ -295,6 +332,10 @@ def test_unusable_bessel_values_exit_three(tmp_path, capsys, argv, message):
         (["walk", "--q", "1", "--mu", "6", "--atoms", "1e200"], 2, "config error: "),
         (["bessel", "--q", "1", "--mu", "2", "--grid", "22", "--max-weight", "2000"], 3,
          "convergence failure: "),
+        # mu_k = 2^k overflows a float past k = 1023
+        (["slln", "--k-max", "1100"], 2, "config error: "),
+        (["ldp", "--k-max", "1100"], 2, "config error: "),
+        (["lln", "--grid", "1100"], 2, "config error: "),
     ],
 )
 def test_failing_run_prints_only_its_error_line(tmp_path, capsys, argv, code, prefix):
@@ -352,21 +393,32 @@ def test_flag_prefixes_are_not_expanded(tmp_path, capsys, argv, unknown):
     assert not os.listdir(tmp_path)
 
 
-def test_dunkl_ignores_a_config_mu(tmp_path, capsys):
-    # dunkl evaluates at its grid indices only: a config mu below rho - 1
-    # runs, and leaves the CSV body and the echo as they are without it
+_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"experiment"}
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(a, f) for a in _SMALL_RUNS for f in sorted(_FIELDS - set(cli._SUBCOMMANDS[a[0]][3]))],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_dunkl_ignores_a_config_mu(tmp_path, capsys, argv, field):
+    # a subcommand drops a config field it does not read, unvalidated: a
+    # value that no field accepts changes no output byte, the config hash
+    # included, and one note names the field
+    name = argv[0]
     outputs = []
-    for extra in ({}, {"mu": 1.0}):
+    for extra in ({}, {field: "x"}):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"q": 3, **extra}), encoding="utf-8")
-        argv = ["dunkl", "--config", str(p), "--grid", "8", "--n-samples", "10",
-                "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
-        csv = (tmp_path / "dunkl.csv").read_text().split("\n", 1)[1]
-        outputs.append((csv, (tmp_path / "dunkl_config.json").read_text()))
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["mu"] == 8.0
-    capsys.readouterr()
+        p.write_text(json.dumps({"q": 1, **extra}), encoding="utf-8")
+        assert cli.main([*argv, "--config", str(p), "--out", str(tmp_path)]) == 0
+        csv = (tmp_path / f"{name}.csv").read_text()
+        echo = (tmp_path / f"{name}_config.json").read_text()
+        outputs.append((csv, echo, capsys.readouterr().err))
+    (csv0, echo0, err0), (csv1, echo1, err1) = outputs
+    assert (csv0, echo0) == (csv1, echo1)
+    assert field not in json.loads(echo0)
+    assert err0 == ""
+    assert err1 == f"note: {name} does not read config field(s) {field}; ignored\n"
 
 
 # ------------------------------------------------------------- other commands

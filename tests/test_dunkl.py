@@ -156,3 +156,9 @@ def test_dunkl_csv_matches_pinned_digest(csv_digest, d):
     argv = ["dunkl", "--q", "3", "--d", str(d), "--grid", "16,64", "--n-samples", "300",
             "--seed", "17"]
     assert csv_digest(argv) == _DUNKL_DIGESTS[d]
+
+
+def test_dunkl_default_grid_csv_matches_pinned_digest(csv_digest):
+    # no --grid: the subcommand's default indices 64, 128, 256
+    argv = ["dunkl", "--q", "2", "--d", "1", "--n-samples", "200", "--seed", "5"]
+    assert csv_digest(argv) == "04ebace30327858fb38bf6855efbeff2f12d78125ca5cf9b9cb06e5d9a45433f"

@@ -72,6 +72,14 @@ def test_schedule_guards():
     # step counts past 1e15 are declared unsimulable rather than rounded
     with pytest.raises(DomainError):
         Schedule(n_family="poly", n_c=1.0, n_b=4.0).n(10**4)
+    # so are indices past the float range, where 2.0**k would overflow
+    assert Schedule(mu_family="pow2").mu(1023) == 2.0**1023
+    with pytest.raises(DomainError, match="mu_1100 overflows"):
+        Schedule(mu_family="pow2").mu(1100)
+    with pytest.raises(DomainError, match="overflows"):
+        Schedule(mu_family="pow2", mu_c=4.0).mu(1023)
+    with pytest.raises(DomainError, match="overflows"):
+        Schedule(mu_family="poly", mu_b=400.0).mu(10**4)
 
 
 def test_schedule_conditions_verdicts():
@@ -167,6 +175,25 @@ def test_slln_tail_sup_is_reverse_running_max():
     for k in range(1, 7):
         assert sup[k] == max(dev[j] for j in range(k, 7))
     assert len(rep.diagnostics) == 3
+
+
+# SHA-256 of the seeded lln and slln CSVs below the config-hash line (which
+# hashes the output path), recorded under stream version 2 (seeds.STREAM_VERSION);
+# every byte must stay the same until the version changes.
+_LLN_DIGEST = "c3466c2a27b075d123359ea690e07977cd17ff51ea39d548043fc14ceb18bd1f"
+_SLLN_DIGEST = "c4e2240f5ba937f3e1f1528f6bd7a9b30cbbb2c0369314dc3541f2575232d986"
+
+
+def test_lln_csv_matches_pinned_digest(csv_digest):
+    # no --grid: the subcommand's default walk lengths 25, 100, 400
+    argv = ["lln", "--q", "2", "--d", "1", "--atoms", "1,0.5;0.3,0.2", "--weights", "0.6,0.4",
+            "--mu-family", "poly", "--replicates", "12", "--seed", "5"]
+    assert csv_digest(argv) == _LLN_DIGEST
+
+
+def test_slln_csv_matches_pinned_digest(csv_digest):
+    argv = ["slln", "--q", "1", "--d", "2", "--k-max", "8", "--seed", "5"]
+    assert csv_digest(argv) == _SLLN_DIGEST
 
 
 def test_free_energy_empirical_basics():

@@ -1,12 +1,18 @@
-"""Package metadata, the lazy top-level exports and the names the
-traced benchmark run patches."""
+"""Package metadata, the lazy top-level exports, and the names and
+command lines the benchmark uses."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import re
+import sys
 from pathlib import Path
 
+import pytest
+
 import conebessel
+from conebessel import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +45,29 @@ def test_benchmark_span_targets_resolve():
                 owner = getattr(owner, part)
             found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
             assert callable(found), f"{module}.{path} does not resolve"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # loaded read-only; its dataclass looks the module up in sys.modules
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", ["walk", "freeenergy", "chamber", "ballmc"])
+def test_benchmark_warmup_ops_run_and_pass_their_checks(workloads, name, tmp_path, monkeypatch):
+    # a warm-up op that fails makes the benchmark run exit 2 before it measures
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "1")  # --threads 1 sets these
+    for op in workloads.warmup(name, 1):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([*op.argv, "--threads", "1", "--out", str(tmp_path)])
+        assert rc == 0, " ".join(op.argv)
+        assert op.check((tmp_path / op.csv).read_text(encoding="utf-8")) is None
