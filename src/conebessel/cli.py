@@ -381,16 +381,33 @@ def _cmd_dunkl(res: _Resolved):
     res.write("mu,b_value,b_stderr,a_limit,gap,envelope", rows)
 
 
-def _frobenius(a) -> float:
-    """Frobenius norm of a matrix whose entries may pass 1e150, finite
-    whenever it is representable: where the sum of squares overflows, the
-    norm is taken after dividing by the largest entry."""
+def _walk_columns(states):
+    """The walk CSV's numeric columns for an (n, q, q) stack of states: the
+    upper-triangle coordinates (re/im pairs for a complex stack), the trace
+    and the Frobenius norm, bit for bit what np.real, np.imag,
+    np.real(np.trace(a)) and np.linalg.norm(a) give one matrix at a time.  A
+    norm whose sum of squares overflows is taken after dividing by the
+    largest entry, so it is finite whenever it is representable."""
     import numpy as np
 
+    n, q, _ = states.shape
+    coords = states[(slice(None), *np.triu_indices(q))]
+    if np.iscomplexobj(states):
+        coords = np.stack([coords.real, coords.imag], axis=-1).reshape(n, -1)
+    # np.linalg.norm(a) is x.real.dot(x.real) + x.imag.dot(x.imag), BLAS dots
+    # on strided views of a's entries.  The same dot per row on the same
+    # strided views gives its bits; a contiguous copy takes another BLAS
+    # kernel and changes last bits.
+    flat = states.reshape(n, q * q)
     with np.errstate(over="ignore"):
-        plain = np.linalg.norm(a)
-    top = np.max(np.abs(a))
-    return plain if np.isfinite(plain) else top * np.linalg.norm(a / top)
+        sq = flat.real[:, None, :] @ flat.real[:, :, None]
+        if np.iscomplexobj(flat):
+            sq = sq + flat.imag[:, None, :] @ flat.imag[:, :, None]
+    norm = np.sqrt(sq[:, 0, 0])
+    for i in np.flatnonzero(~np.isfinite(norm)):
+        top = np.max(np.abs(flat[i]))
+        norm[i] = top * np.linalg.norm(flat[i] / top)
+    return np.column_stack([coords, np.trace(states, axis1=1, axis2=2).real, norm])
 
 
 def _cmd_walk(res: _Resolved):
@@ -403,31 +420,20 @@ def _cmd_walk(res: _Resolved):
     from .seeds import substream
 
     cfg = res.cfg
-    pairs = [(i, j) for i in range(cfg.q) for j in range(i, cfg.q)]
-    if cfg.d == 1:
-        coord_cols = [f"x_{i + 1}{j + 1}" for i, j in pairs]
-    else:
-        coord_cols = []
-        for i, j in pairs:
-            coord_cols += [f"x_{i + 1}{j + 1}_re", f"x_{i + 1}{j + 1}_im"]
+    names = [f"x_{i + 1}{j + 1}" for i, j in zip(*np.triu_indices(cfg.q))]
+    if cfg.d == 2:
+        names = [f"{name}_{part}" for name in names for part in ("re", "im")]
     rngs = [substream(cfg.seed, "walk", rep) for rep in range(cfg.replicates)]
-    # all steps run before any row is formatted, so a failing walk formats nothing
-    history = list(walk_batch(res.law, res.params, cfg.steps, rngs))
-    # below 1e150 no square overflows, so the norm needs no scaled fallback
-    wide = [np.max(np.abs(states)) >= 1e150 for states in history]
+    # all steps run before any row is formatted, so a failing walk formats
+    # nothing; the stack, (replicates, steps + 1, q, q), lives only until
+    # its columns are taken
+    walks = walk_batch(res.law, res.params, cfg.steps, rngs)
+    cols = _walk_columns(np.stack(list(walks), axis=1).reshape(-1, cfg.q, cfg.q))
+    row = "%d,%d," + ",".join(["%.17g"] * cols.shape[1])
     rows = []
-    for rep in range(cfg.replicates):
-        for step, states in enumerate(history):
-            a = states[rep]
-            vals = []
-            for i, j in pairs:
-                vals.append(_g(np.real(a[i, j])))
-                if cfg.d == 2:
-                    vals.append(_g(np.imag(a[i, j])))
-            norm = _frobenius(a) if wide[step] else np.linalg.norm(a)
-            vals += [_g(np.real(np.trace(a))), _g(norm)]
-            rows.append(f"{rep},{step}," + ",".join(vals))
-    header = "replicate,k," + ",".join(coord_cols) + ",tr,norm"
+    for rep, walk in enumerate(np.split(cols, cfg.replicates)):
+        rows += [row % (rep, step, *vals) for step, vals in enumerate(walk.tolist())]
+    header = "replicate,k," + ",".join(names) + ",tr,norm"
     res.write(header, rows, f"{cfg.replicates} paths x {cfg.steps} steps")
 
 
@@ -558,6 +564,7 @@ _PARSERS = {
     **{key: _number(key, spec["type"]) for key, spec in _FLAG_SPECS.items() if "type" in spec},
     "seed": _number("seed", int, 0, 2**64),
     "replicates": _number("replicates", int, 1),
+    "max_weight": _number("max_weight", int, 0),
     "grid": parse_grid,
     "atoms": _parse_atoms,
     **{k: functools.partial(_parse_floats, what=k) for k in ("weights", "xi", "eta", "t_values")},

@@ -271,6 +271,9 @@ def test_malformed_config_list_exits_two(tmp_path, capsys, field):
         (["walk", "--mu", "3", "--replicates", "0"], "replicates must be int in [1, "),
         (["lln", "--grid", "2.7", "--replicates", "2"], "whole numbers, got 2.7"),
         (["dunkl", "--grid", ","], "empty grid"),
+        (["bessel", "--mu", "3", "--grid", "0.5", "--max-weight", "-1"],
+         "max_weight must be int in [0, "),
+        (["dunkl", "--max-weight", "-1"], "max_weight must be int in [0, "),
     ],
 )
 def test_out_of_range_value_exits_two(tmp_path, capsys, argv, message):

@@ -5,7 +5,9 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,3 +73,15 @@ def test_benchmark_warmup_ops_run_and_pass_their_checks(workloads, name, tmp_pat
             rc = cli.main([*op.argv, "--threads", "1", "--out", str(tmp_path)])
         assert rc == 0, " ".join(op.argv)
         assert op.check((tmp_path / op.csv).read_text(encoding="utf-8")) is None
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # from a checkout, with the package on PYTHONPATH and nothing installed
+    src = str(Path(conebessel.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = ["walk", "--q", "1", "--mu", "6", "--steps", "1", "--replicates", "1",
+            "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "conebessel", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "walk.csv").read_text(encoding="utf-8").count("\n") == 3 + 2
