@@ -35,8 +35,10 @@ for t in (-2.0, -1.0, 1.0, 2.0):
 print()
 print("rate function vs s ln(2s) + (1-s) ln(2(1-s)):")
 print(f"{'s':>6} {'I(s)':>10} {'entropy':>10}")
-for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-    val = rate_function(law, params, s)
+grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.2])
+for s, val in zip(grid, rate_function(law, params, grid)):
+    if s > 1.0:
+        print(f"{s:6.1f} {val!s:>10}   (outside the support)")
+        continue
     ent = s * math.log(2 * s) + (1 - s) * math.log(2 * (1 - s))
     print(f"{s:6.1f} {val:10.6f} {ent:10.6f}")
-print(f"{'1.2':>6} {rate_function(law, params, 1.2)!s:>10}   (outside the support)")

@@ -370,11 +370,9 @@ def free_energy_rate():
     for t in (1.0, -1.0):
         ck, se = free_energy_empirical(law, params, 2.0**20, 20, t, 10_000, master_seed=111)
         worst_c = max(worst_c, abs(ck - free_energy_limit(law, params, t)))
-    worst_i = 0.0
-    for s in np.arange(0.1, 0.95, 0.1):
-        s = float(s)
-        exact = s * math.log(2.0 * s) + (1.0 - s) * math.log(2.0 * (1.0 - s))
-        worst_i = max(worst_i, abs(rate_function(law, params, s) - exact))
+    s = np.arange(0.1, 0.95, 0.1)
+    exact = s * np.log(2.0 * s) + (1.0 - s) * np.log(2.0 * (1.0 - s))
+    worst_i = float(np.max(np.abs(rate_function(law, params, s) - exact)))
     i_half = rate_function(law, params, 0.5)
     ok = worst_c <= 0.05 and worst_i <= 1e-3 and i_half <= 1e-6
     return ok, (

@@ -8,7 +8,8 @@ computing, and leaves two artifacts in the output directory: a CSV whose
 first two lines carry the config hash with the stream version
 (seeds.STREAM_VERSION) and the master seed, and a config echo JSON that
 holds the stream version and the fields read, and re-parses to itself.
-Identical (config, seed) pairs produce byte-identical CSVs.
+The config hash covers the echo without `out`, so identical (config,
+seed) pairs produce byte-identical CSVs in any output directory.
 
 Exit codes: 0 success, 1 acceptance-criterion failure (check only),
 2 config or domain error (with file:line when the offender is a config
@@ -291,7 +292,8 @@ class _Resolved:
         self.cfg = cfg
         echo = {k: v for k, v in cfg.as_dict().items() if k == "experiment" or k in reads}
         self.echo = {**echo, "stream_version": STREAM_VERSION}
-        self.hash = config_hash(self.echo)
+        # where the files go is not what they hold: the hash leaves out `out`
+        self.hash = config_hash({k: v for k, v in self.echo.items() if k != "out"})
 
     def write(self, columns: str, rows: list, size: str | None = None):
         """Write the CSV and the config echo, both named after the subcommand."""
@@ -465,24 +467,16 @@ def _cmd_ldp(res: _Resolved):
     from .limits import free_energy_empirical, free_energy_limit, rate_function
 
     cfg = res.cfg
-    k = cfg.k_max
-    mu_k = res.schedule.mu(k)
-    n_k = res.schedule.n(k)
+    mu_k, n_k = res.schedule.mu(cfg.k_max), res.schedule.n(cfg.k_max)
     rows = []
     warned = False
-    for t in cfg.t_values:
-        c_k, se = free_energy_empirical(
-            res.law, res.params, mu_k, n_k, float(t), cfg.replicates, cfg.seed
-        )
-        c_lim = free_energy_limit(res.law, res.params, float(t))
-        if se > 0.2 * max(abs(c_k), 1e-12):
-            warned = True
-        rows.append(f"c_k,{_g(t)},{_g(c_k)},{_g(se)}")
-        rows.append(f"c_limit,{_g(t)},{_g(c_lim)},0")
-    for s in cfg.grid:
-        val = rate_function(res.law, res.params, float(s))
-        out = "inf" if math.isinf(val) else _g(val)
-        rows.append(f"rate,{_g(s)},{out},0")
+    for t in map(float, cfg.t_values):
+        c_k, se = free_energy_empirical(res.law, res.params, mu_k, n_k, t, cfg.replicates, cfg.seed)
+        c_lim = free_energy_limit(res.law, res.params, t)
+        warned = warned or se > 0.2 * max(abs(c_k), 1e-12)
+        rows += [f"c_k,{_g(t)},{_g(c_k)},{_g(se)}", f"c_limit,{_g(t)},{_g(c_lim)},0"]
+    rates = rate_function(res.law, res.params, cfg.grid)
+    rows += [f"rate,{_g(s)},{_g(val)},0" for s, val in zip(cfg.grid, rates)]
     res.write("kind,arg,value,stderr", rows)
     if warned:
         print(

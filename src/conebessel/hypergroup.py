@@ -138,19 +138,10 @@ def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> 
     return psd_sqrt(ConeMatrix(_step_square(rm.array[None], sm.array[None], v)[0]))
 
 
-def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
-    """Independent walks started at zero, one per stream, advanced together.
-
-    Yields S_0 = 0, S_1, ..., S_n, each a new (len(rngs), q, q) array of
-    dtype params.dtype, one matrix per stream.  Each stream in turn draws
-    rng.random(n) for its atom picks and then its n ball draws, so its use
-    does not depend on the path: a draw that a zero state (which takes the
-    atom) or a zero atom (which keeps the state) leaves unused is still
-    drawn.  The other walks take one _convolve_stack step together.  So walk
-    i is walk_simulate(nu, params, n_steps, rngs[i]) bit for bit, whatever
-    the other streams are, and walk_batch(nu, params, n_steps, [rng] * m)
-    is m successive walk_simulate(nu, params, n_steps, rng) calls.
-    """
+def _walk_draws(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
+    """nu's atoms stacked (m, q, q), checked against params, and each
+    stream's draws in turn: pick variates rng.random(n), stacked (R, n),
+    then n ball draws, stacked (R, n, q, q)."""
     if nu.q != params.q:
         raise DimensionError("law rank does not match params")
     if n_steps < 0:
@@ -160,25 +151,48 @@ def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
         raise DomainError("a law with complex atoms needs the complex field, d=2")
     draws = [(rng.random(n_steps), _ball_variates(params, rng, n_steps)) for rng in rngs]
     u = np.array([picks for picks, _ in draws]).reshape(len(rngs), n_steps)
-    balls = _ball_stack(params, [variates for _, variates in draws], n_steps)
-    states = np.zeros((len(rngs), params.q, params.q), dtype=params.dtype)
-    zero = np.ones(len(rngs), dtype=bool)
+    return atoms, u, _ball_stack(params, [variates for _, variates in draws], n_steps)
+
+
+def _walk_steps(params: StructureParams, atoms: np.ndarray, picks: np.ndarray, balls):
+    """The states of walks from zero whose step k takes atoms[picks[:, k]]
+    with ball draws balls[:, k]."""
+    states = np.zeros((len(picks), params.q, params.q), dtype=params.dtype)
+    zero = np.ones(len(picks), dtype=bool)
     yield states
-    atom_zero = np.array([a.is_zero() for a in nu.atoms])
-    for step, picks in enumerate(nu._cdf.searchsorted(u.T, side="right")):
+    atom_zero = ~atoms.any(axis=(1, 2))
+    for step, pick in enumerate(picks.T):
         states = states.copy()
-        live = ~zero & ~atom_zero[picks]
+        live = ~zero & ~atom_zero[pick]
         # a zero state takes the atom, and stays zero if the atom is zero
-        states[zero] = atoms[picks[zero]]
-        zero = zero & atom_zero[picks]
+        states[zero] = atoms[pick[zero]]
+        zero = zero & atom_zero[pick]
         if live.any():
             # the dtype that stacking the states' ConeMatrix arrays (each
             # real when its imaginary part is zero) gives, which fixes the
             # step's bits
             r = _real_if_exact(states[live])
-            states[live] = _convolve_stack(r, atoms[picks[live]], balls[live, step])
+            states[live] = _convolve_stack(r, atoms[pick[live]], balls[live, step])
             zero[live] = ~states[live].any(axis=(1, 2))
         yield states
+
+
+def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
+    """Independent walks started at zero, one per stream, advanced together.
+
+    Yields S_0 = 0, S_1, ..., S_n, each a new (len(rngs), q, q) array of
+    dtype params.dtype, one matrix per stream.  Each stream in turn draws
+    rng.random(n) for its atom picks and then its n ball draws
+    (_walk_draws), so its use does not depend on the path: a draw that a
+    zero state (which takes the atom) or a zero atom (which keeps the
+    state) leaves unused is still drawn.  The other walks take one
+    _convolve_stack step together (_walk_steps).  So walk i is
+    walk_simulate(nu, params, n_steps, rngs[i]) bit for bit, whatever the
+    other streams are, and walk_batch(nu, params, n_steps, [rng] * m) is m
+    successive walk_simulate(nu, params, n_steps, rng) calls.
+    """
+    atoms, u, balls = _walk_draws(nu, params, n_steps, rngs)
+    yield from _walk_steps(params, atoms, nu._cdf.searchsorted(u, side="right"), balls)
 
 
 def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng) -> tuple:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRankError
-from .hypergroup import RadialLaw, walk_batch, walk_simulate  # noqa: F401  (perfbench span)
+# walk_simulate is a perfbench span target
+from .hypergroup import RadialLaw, _walk_draws, _walk_steps, walk_batch, walk_simulate  # noqa: F401
 from .linalg import ConeMatrix, StructureParams, _real_if_exact, psd_sqrt
 from .seeds import STREAM_VERSION, substream
 
@@ -35,8 +36,6 @@ _LN10 = math.log(10.0)
 
 # strong-law schedules are checked for divergence out to this k at least
 _DIAGNOSTIC_HORIZON = 100_000
-# the rate function's supremum over t is searched on this interval
-_T_LO, _T_HI = -60.0, 60.0
 
 
 @dataclass(frozen=True)
@@ -135,33 +134,17 @@ def schedule_conditions(schedule: Schedule, k_max: int):
     if k_max < 10:
         raise DomainError(f"k_max must be at least 10, got {k_max}")
     ks = _probe_ks(k_max)
-
-    probes = {}
-    for a in (1, 2, 3):
-        probes[a] = [schedule.log_mu(k) - a * math.log(k) for k in ks]
-    verdict1 = "diverging" if all(_diverging(probes[a]) for a in (1, 2, 3)) else "not diverging"
-    cond1 = ConditionDiagnostic(
-        name="index_beats_all_powers",
-        verdict=verdict1,
+    loglog = [2.0 * math.log(math.log(k)) for k in ks]
+    powers = all(_diverging([schedule.log_mu(k) - a * math.log(k) for k in ks]) for a in (1, 2, 3))
+    squared = _diverging(
+        [schedule.log_mu(k) - 2.0 * schedule.log_n(k) - ll for k, ll in zip(ks, loglog)]
     )
-
-    lr2 = tuple(
-        schedule.log_mu(k) - 2.0 * schedule.log_n(k) - 2.0 * math.log(math.log(k))
-        for k in ks
+    logs = _diverging([schedule.log_n(k) - ll for k, ll in zip(ks, loglog)])
+    names = ("index_beats_all_powers", "index_beats_steps_squared", "steps_beat_log_squared")
+    return tuple(
+        ConditionDiagnostic(name, "diverging" if ok else "not diverging")
+        for name, ok in zip(names, (powers, squared, logs))
     )
-    cond2 = ConditionDiagnostic(
-        name="index_beats_steps_squared",
-        verdict="diverging" if _diverging(lr2) else "not diverging",
-    )
-
-    lr3 = tuple(
-        schedule.log_n(k) - 2.0 * math.log(math.log(k)) for k in ks
-    )
-    cond3 = ConditionDiagnostic(
-        name="steps_beat_log_squared",
-        verdict="diverging" if _diverging(lr3) else "not diverging",
-    )
-    return (cond1, cond2, cond3)
 
 
 @dataclass(frozen=True)
@@ -265,19 +248,7 @@ def wlln_experiment(
         hits = sum(_deviation(end, k, target) > epsilon for end in ends)
         p_hat = hits / replicates
         se = math.sqrt(p_hat * (1.0 - p_hat) / replicates)
-        rows.append(
-            ReportRow(
-                experiment="wlln",
-                k=k,
-                mu=pk.mu,
-                n=k,
-                replicates=replicates,
-                statistic="tail_prob",
-                value=p_hat,
-                stderr=se,
-                seed=master_seed,
-            )
-        )
+        rows.append(ReportRow("wlln", k, pk.mu, k, replicates, "tail_prob", p_hat, se, master_seed))
     return ExperimentReport(rows=tuple(rows))
 
 
@@ -302,9 +273,7 @@ def slln_experiment(
     diags = schedule_conditions(schedule, max(k_max, _DIAGNOSTIC_HORIZON))
     bad = [d.name for d in diags if d.verdict != "diverging"]
     if bad:
-        raise DomainError(
-            f"schedule fails divergence diagnostics: {', '.join(bad)}"
-        )
+        raise DomainError(f"schedule fails divergence diagnostics: {', '.join(bad)}")
     target = psd_sqrt(second_moment(nu)).array
     devs = []
     for k in range(1, k_max + 1):
@@ -312,18 +281,13 @@ def slln_experiment(
         nk = schedule.n(k)
         end = _endpoints(nu, pk, nk, [substream(master_seed, "slln", k)])[0]
         devs.append((k, pk.mu, nk, _deviation(end, nk, target)))
-    rows = []
-    for k, mu_k, nk, dev in devs:
-        rows.append(
-            ReportRow("slln", k, mu_k, nk, 1, "deviation", dev, 0.0, master_seed)
-        )
+    rows = [ReportRow("slln", k, mu_k, nk, 1, "deviation", dev, 0.0, master_seed)
+            for k, mu_k, nk, dev in devs]
     tail = -math.inf
     sup_rows = []
     for k, mu_k, nk, dev in reversed(devs):
         tail = max(tail, dev)
-        sup_rows.append(
-            ReportRow("slln", k, mu_k, nk, 1, "tail_sup", tail, 0.0, master_seed)
-        )
+        sup_rows.append(ReportRow("slln", k, mu_k, nk, 1, "tail_sup", tail, 0.0, master_seed))
     rows.extend(reversed(sup_rows))
     return ExperimentReport(rows=tuple(rows), diagnostics=diags)
 
@@ -333,21 +297,37 @@ def _require_rank_one(params: StructureParams, what: str):
         raise UnsupportedRankError(f"{what} is defined for q = 1 only")
 
 
-def free_energy_empirical(
-    nu: RadialLaw,
-    params: StructureParams,
-    mu: float,
-    n: int,
-    t: float,
-    replicates: int,
-    master_seed: int,
-):
+def _tilt(nu: RadialLaw, t):
+    """The tilted laws of the rank-one large deviations at a scalar or an
+    array of t: the atom squares x (m,), the tilted weights
+    p_i(t) = w_i e^{t x_i - c(t)} (t's shape + (m,)) and the free energy
+    c(t) = ln sum_i w_i e^{t x_i} (t's shape), shifted by the largest
+    exponent.  c'(t) is the mean of x under p(t) and c''(t) its variance."""
+    with np.errstate(over="ignore"):
+        x = np.array([np.real(a.array[0, 0]) ** 2 for a in nu.atoms])
+    if not np.all(np.isfinite(x)):
+        raise DomainError("the squares of the atoms must be finite floats")
+    exps = np.multiply.outer(t, x)
+    shift = exps.max(axis=-1, keepdims=True)
+    p = np.asarray(nu.weights) * np.exp(exps - shift)
+    total = p.sum(axis=-1, keepdims=True)
+    return x, p / total, (shift + np.log(total))[..., 0]
+
+
+def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: int, t: float,
+                          replicates: int, master_seed: int):
     """Finite-k free energy c_k(t) = (1/n) ln E[exp(t S_n^2)] by Monte
     Carlo over `replicates` walks, with delta-method standard error.
 
-    The plain-MC estimator degrades quickly for large positive t (the
-    expectation is dominated by rare paths); callers should treat a
-    relative standard error above 20% as unusable.
+    The walks pick their atoms from the tilted law nu_t and are reweighted
+    exactly: c_k(t) = c(t) + (1/n) ln E_{nu_t}[exp(t (S_n^2 - sum_k x_{i_k}))].
+    The exponent is the walk's fluctuation about the sum of its steps'
+    squares.  At a large index it is small, the weights are nearly equal
+    and the standard error is honest.  At a small one (mu = 8) nu_t is not
+    the optimal tilt: the weights are heavy-tailed and the standard error
+    understates the spread across seeds.  Each stream makes a walk_batch
+    walk's generator calls; only its map from pick variates to atoms
+    follows nu_t.
     """
     _require_rank_one(params, "the free energy")
     if n < 1 or replicates < 2:
@@ -355,72 +335,80 @@ def free_energy_empirical(
     pk = params.with_mu(mu)
     if t == 0.0:
         return 0.0, 0.0
+    x, p, c = _tilt(nu, t)
     label = f"ldp:mu={mu:.17g}:n={n}:t={t:.17g}"
     rngs = [substream(master_seed, label, r) for r in range(replicates)]
-    exponents = np.empty(replicates)
-    for r, end in enumerate(_endpoints(nu, pk, n, rngs)):
-        s_val = float(np.real(end[0, 0]))
-        exponents[r] = t * s_val * s_val
+    atoms, u, balls = _walk_draws(nu, pk, n, rngs)
+    # built as RadialLaw._cdf is; an atom whose tilted weight underflows
+    # to 0 is never picked
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    picks = cdf.searchsorted(u, side="right")
+    for ends in _walk_steps(pk, atoms, picks, balls):
+        pass
+    exponents = t * (np.real(ends[:, 0, 0]) ** 2 - x[picks].sum(axis=1))
     shift = float(exponents.max())
     w = np.exp(exponents - shift)
     mean_w = float(w.mean())
-    c_val = (shift + math.log(mean_w)) / n
+    c_val = float(c) + (shift + math.log(mean_w)) / n
     rel_se = float(w.std(ddof=1)) / (mean_w * math.sqrt(replicates))
     return c_val, rel_se / n
-
-
-def _atom_squares(nu: RadialLaw) -> list:
-    """s^2 for each rank-one atom s."""
-    return [float(np.real(a.array[0, 0])) ** 2 for a in nu.atoms]
-
-
-def _free_energy(weights, squares, t: float) -> float:
-    """ln sum_i weights[i] exp(t squares[i]), shifted by its largest exponent."""
-    exps = [t * sq for sq in squares]
-    shift = max(exps)
-    acc = sum(w * math.exp(e - shift) for w, e in zip(weights, exps))
-    return shift + math.log(acc)
 
 
 def free_energy_limit(nu: RadialLaw, params: StructureParams, t: float) -> float:
     """Limiting free energy c(t) = ln of the atomic mean of exp(t s^2)."""
     _require_rank_one(params, "the free energy")
-    return _free_energy(nu.weights, _atom_squares(nu), t)
+    return float(_tilt(nu, t)[2])
 
 
-def rate_function(nu: RadialLaw, params: StructureParams, s: float) -> float:
-    """Legendre transform I(s) = sup_t (s t - c(t)) by golden-section
-    search over -60 <= t <= 60 (the objective is concave).  Returns
-    math.inf when the supremum runs into a search bound with positive
-    outward slope; clamped below at 0, which the exact supremum attains
-    at t = 0.
+def rate_function(nu: RadialLaw, params: StructureParams, s):
+    """Legendre transform I(s) = sup_t (s t - c(t)) at a scalar or an
+    array of s, in s's shape.
+
+    Strictly inside the range of the atom squares the supremum is where
+    c'(t), the tilted mean, equals s.  Newton steps solve that for the whole
+    grid at once on the log-odds ln(c' - min x) - ln(max x - c'), which is
+    t plus a constant for two atoms, with slope c'' (the tilted variance)
+    over (c' - min x)(max x - c'), inside a bracket that each step shrinks
+    (bisecting where a step would leave it), in units of the spread of the
+    squares, so the atoms' scale does not change the steps.  At an end of
+    the range I is -ln of the weight there; outside it I is inf.
     """
     _require_rank_one(params, "the rate function")
-
-    squares = _atom_squares(nu)
-
-    def g(t: float) -> float:
-        return s * t - _free_energy(nu.weights, squares, t)
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = _T_LO, _T_HI
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(120):
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - inv_phi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + inv_phi * (b - a)
-            gd = g(d)
-    t_star = (a + b) / 2.0
-    width = _T_HI - _T_LO
-    h = 1e-7 * max(1.0, abs(t_star))
-    if _T_HI - t_star < 1e-6 * width and g(_T_HI) - g(_T_HI - h) > 0:
-        return math.inf
-    if t_star - _T_LO < 1e-6 * width and g(_T_LO) - g(_T_LO + h) > 0:
-        return math.inf
-    return max(g(t_star), 0.0)
+    x, w, _ = _tilt(nu, 0.0)
+    s = np.asarray(s, dtype=float)
+    lo, hi = x.min(), x.max()
+    w_lo, w_hi = w[x == lo].sum(), w[x == hi].sum()
+    rate = np.full(s.shape, math.inf)
+    # + 0.0: a weight of 1 gives 0, not -0
+    rate[s == lo] = -math.log(w_lo) + 0.0
+    rate[s == hi] = -math.log(w_hi) + 0.0
+    inside = (lo < s) & (s < hi)
+    if inside.any():
+        target = s[inside]
+        unit = hi - lo
+        y = (x - lo) / unit
+        # max x - c'(t) = sum_i p_i(t) u_i <= sum_i w_i u_i e^{-t u_i} / w_hi
+        # <= 1 / (e t w_hi) for t > 0 (u_i = max x - x_i), below max x - s
+        # at t_hi; likewise c'(t) < s at t_lo
+        t_lo = -1.0 / (w_lo * (target - lo))
+        t_hi = 1.0 / (w_hi * (hi - target))
+        goal = np.log(target - lo) - np.log(hi - target)
+        t = np.zeros_like(target)
+        while True:
+            _, p, _ = _tilt(nu, t)
+            above, below = p @ y, p @ (1.0 - y)
+            var = (p * (y - above[:, None]) ** 2).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logit = np.log(above) - np.log(below)
+                step = t + (goal - logit) * above * below / (var * unit)
+            t_lo = np.where(logit < goal, t, t_lo)
+            t_hi = np.where(logit > goal, t, t_hi)
+            step = np.where((t_lo < step) & (step < t_hi), step, (t_lo + t_hi) / 2.0)
+            # a step that cannot move, or is nan past the float range, ends it
+            done = not np.any(np.abs(step - t) * unit > 1e-12 * np.maximum(1.0, np.abs(t) * unit))
+            t = step
+            if done:
+                break
+        rate[inside] = target * t - _tilt(nu, t)[2]
+    return rate if rate.ndim else float(rate)

@@ -199,8 +199,8 @@ def _psd_sqrt_stack(m: np.ndarray) -> np.ndarray:
     rebuild, stacked in an array of m's dtype.
 
     Whether a complex matrix counts as real is decided per matrix before
-    eigh, because real and complex inputs take different LAPACK routines,
-    and a root with no imaginary part gets +0.0 imaginary parts, as the
+    eigh, because real and complex inputs take different LAPACK routines
+    (one eigh for each kind the stack holds), and a root with no imaginary part gets +0.0 imaginary parts, as the
     real array of the one-matrix path would: the same bits as that path.
     """
     def roots(h):
@@ -211,10 +211,12 @@ def _psd_sqrt_stack(m: np.ndarray) -> np.ndarray:
         return roots(m)
     out = np.empty_like(m)
     real = _imag_free(m)
-    out[real] = roots(m.real[real])
-    a = roots(m[~real])
-    a.imag[_imag_free(a)] = 0.0
-    out[~real] = a
+    if real.any():
+        out[real] = roots(m.real[real])
+    if not real.all():
+        a = roots(m[~real])
+        a.imag[_imag_free(a)] = 0.0
+        out[~real] = a
     return out
 
 

@@ -9,7 +9,9 @@ perturbs the ones already drawn.
 STREAM_VERSION numbers the way the package consumes these streams.  It
 changes whenever a seeded result changes, and every CSV and config echo
 records it.  Version 2 draws the ball density exactly (linalg._ball_points)
-and draws a walk's randomness when the walk starts.
+and draws a walk's randomness when the walk starts.  Version 3 consumes
+the streams as version 2 does, but the ldp walks map their pick variates
+through the tilted law nu_t (limits.free_energy_empirical).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import hashlib
 
 import numpy as np
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:

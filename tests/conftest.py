@@ -16,7 +16,8 @@ def rng():
 @pytest.fixture
 def csv_digest(tmp_path):
     """Run a CLI subcommand and return the SHA-256 of its CSV below the
-    config-hash line, which hashes the output path."""
+    config-hash line, which carries the stream version: a digest outlives
+    a version change that leaves its CSV body alone."""
 
     def digest(argv) -> str:
         with contextlib.redirect_stdout(io.StringIO()):

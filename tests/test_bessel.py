@@ -192,9 +192,10 @@ def test_poisson_tail_matches_brute_force():
             assert got == pytest.approx(brute, rel=1e-10, abs=1e-300)
 
 
-# SHA-256 of the seeded bessel CSVs below the config-hash line (which hashes
-# the output path), recorded under stream version 2 (seeds.STREAM_VERSION);
-# every byte must stay the same until the version changes.
+# SHA-256 of the seeded bessel CSVs below the config-hash line (which
+# carries the stream version), recorded under stream version 2 and holding
+# under version 3 (seeds.STREAM_VERSION); every byte must stay the same
+# until the version changes.
 _BESSEL_DIGESTS = {
     (1, 1): "72b942f0cd402fdb73d6282bcad978f4b8add47bc67b58a21b52f07e3f7ffff0",
     (2, 1): "0d98895649356e96479fb3e67bf2ffee210bf852765109ef483c785bd76262cb",

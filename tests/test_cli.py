@@ -154,8 +154,7 @@ def test_echo_records_the_default_grid(tmp_path, capsys):
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
-    # identical (config, seed) must reproduce the artifacts byte for byte;
-    # the output directory is part of the config, so reuse it
+    # identical (config, seed) must reproduce the artifacts byte for byte
     argv = [
         "bessel", "--q", "1", "--d", "1", "--mu", "3",
         "--grid", "0:1:0.5", "--n-samples", "500", "--seed", "2",
@@ -169,6 +168,18 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert (tmp_path / "bessel_config.json").read_bytes() == echo1
 
 
+def test_same_config_in_two_directories_gives_identical_csvs(tmp_path, capsys):
+    # the hash leaves out the output directory, which the echo still records
+    argv = ["ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--k-max", "3",
+            "--replicates", "4", "--grid", "0.5", "--seed", "2"]
+    for name in ("a", "b"):
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+        echo = json.loads((tmp_path / name / "ldp_config.json").read_text())
+        assert echo["out"] == str(tmp_path / name)
+    assert (tmp_path / "a" / "ldp.csv").read_bytes() == (tmp_path / "b" / "ldp.csv").read_bytes()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda a: a[0])
 def test_csv_header_carries_the_echo_hash(tmp_path, argv):
     from conebessel.limits import config_hash
@@ -178,6 +189,7 @@ def test_csv_header_carries_the_echo_hash(tmp_path, argv):
     name = argv[0]
     lines = (tmp_path / f"{name}.csv").read_text().splitlines()
     echo = json.loads((tmp_path / f"{name}_config.json").read_text())
+    del echo["out"]
     assert lines[0] == f"# config_hash={config_hash(echo)} stream_version={STREAM_VERSION}"
     assert lines[1] == "# seed=3"
 
@@ -338,6 +350,8 @@ def test_unusable_bessel_values_exit_three(tmp_path, capsys, argv, message):
         # mu_k = 2^k overflows a float past k = 1023
         (["slln", "--k-max", "1100"], 2, "config error: "),
         (["ldp", "--k-max", "1100"], 2, "config error: "),
+        # an atom whose square overflows a float
+        (["ldp", "--atoms", "0;1e200", "--weights", "0.5,0.5"], 2, "config error: "),
         (["lln", "--grid", "1100"], 2, "config error: "),
     ],
 )
@@ -520,6 +534,22 @@ def test_ldp_command_values(tmp_path):
         want = math.log((1.0 + math.exp(t)) / 2.0)
         assert float(rows[("c_limit", t)]) == pytest.approx(want, rel=1e-12)
     assert abs(float(rows[("rate", 0.5)])) <= 1e-6
+
+
+def test_ldp_huge_tilts_give_finite_free_energy(tmp_path, capsys):
+    # at |t| = 1000 one tilted weight underflows to 0, and that atom is
+    # never picked
+    rc = cli.main(
+        ["ldp", "--q", "1", "--d", "1", "--atoms", "0;1", "--weights", "0.5,0.5",
+         "--k-max", "5", "--replicates", "10", "--t-values=-1000,1000",
+         "--grid", "0.5", "--seed", "4", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    for ln in (tmp_path / "ldp.csv").read_text().splitlines()[3:]:
+        kind, _, value, stderr = ln.split(",")
+        if kind == "c_k":
+            assert math.isfinite(float(value)) and math.isfinite(float(stderr))
+    capsys.readouterr()
 
 
 def test_ldp_reports_infinite_rate(tmp_path):

@@ -250,8 +250,10 @@ def test_walk_batch_on_one_stream_is_successive_walks():
 
 
 # SHA-256 of the seeded walk and ldp CSVs below the config-hash line (which
-# hashes the output path), recorded under stream version 2 (seeds.STREAM_VERSION);
-# every byte must stay the same until the version changes.
+# carries the stream version).  The walk digests were recorded under stream
+# version 2 and hold under version 3; the ldp digest was recorded under
+# version 3 (seeds.STREAM_VERSION).  Every byte must stay the same until the
+# version changes.
 _WALK_DIGESTS = {
     (1, 1, 6.0): "1b1b3b0dbd3a47f66d5de71844b17b9f9ffaa17c125c7c6c08f15d4ac329013e",
     (1, 2, 6.0): "a88d7774f3dcd317bd805929b0e540bb98764f301caf56dbc3154b39a1d2ab7d",
@@ -261,7 +263,7 @@ _WALK_DIGESTS = {
     (2, 2, 4.5): "d2c0f3330688aac804b83bc30255fbbb712571bf3b29f57595920d1c595f6870",
     (2, 1, 3.0): "656f06ee27057cacfe2d5d50b2f4b492761fa8b96d568152efdd13c351d21a81",
 }
-_LDP_DIGEST = "872ddae1560840fda33471fe0912c0dd2226d542f71e307e46a3f5c11f017ce0"
+_LDP_DIGEST = "0fbfecd7351d895a3e0a71e0356559c6dcfd604c1604ee423b6162ff7fdc5944"
 
 
 @pytest.mark.parametrize("q, d, mu", sorted(_WALK_DIGESTS))

@@ -128,6 +128,26 @@ def test_stacked_square_root_matches_one_matrix_path():
                 assert not np.any(np.signbit(got.imag))
 
 
+@pytest.mark.parametrize("imag", [1.0, 0.0], ids=["no-real", "no-complex"])
+def test_stacked_square_root_of_one_kind_makes_one_eigh(monkeypatch, imag):
+    # a complex stack whose matrices are all of one kind makes no eigh call
+    # on the empty other kind, and keeps the one-matrix path's bits
+    import conebessel.linalg as linalg
+
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((4, 2, 2)) + 1j * imag * rng.standard_normal((4, 2, 2))
+    stack = g @ g.conj().swapaxes(1, 2)
+    stack = (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(linalg.np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    roots = _psd_sqrt_stack(stack)
+    monkeypatch.undo()
+    assert calls == [(4, 2, 2)]
+    for m, got in zip(stack, roots):
+        assert np.array_equal(got, psd_sqrt(ConeMatrix(m)).array)
+
+
 @pytest.mark.parametrize("d", (1, 2))
 def test_haar_unitary_is_unitary(d):
     rng = np.random.default_rng(4)
