@@ -366,10 +366,9 @@ def free_energy_rate():
         weights=(0.5, 0.5),
         atoms=(ConeMatrix(np.asarray([[0.0]])), ConeMatrix(np.asarray([[1.0]]))),
     )
-    worst_c = 0.0
-    for t in (1.0, -1.0):
-        ck, se = free_energy_empirical(law, params, 2.0**20, 20, t, 10_000, master_seed=111)
-        worst_c = max(worst_c, abs(ck - free_energy_limit(law, params, t)))
+    t = np.array([1.0, -1.0])
+    ck, _ = free_energy_empirical(law, params, 2.0**20, 20, t, 10_000, master_seed=111)
+    worst_c = float(np.max(np.abs(ck - free_energy_limit(law, params, t))))
     s = np.arange(0.1, 0.95, 0.1)
     exact = s * np.log(2.0 * s) + (1.0 - s) * np.log(2.0 * (1.0 - s))
     worst_i = float(np.max(np.abs(rate_function(law, params, s) - exact)))

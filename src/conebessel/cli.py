@@ -468,13 +468,15 @@ def _cmd_ldp(res: _Resolved):
 
     cfg = res.cfg
     mu_k, n_k = res.schedule.mu(cfg.k_max), res.schedule.n(cfg.k_max)
+    c_k, se = free_energy_empirical(
+        res.law, res.params, mu_k, n_k, cfg.t_values, cfg.replicates, cfg.seed
+    )
+    c_lim = free_energy_limit(res.law, res.params, cfg.t_values)
     rows = []
     warned = False
-    for t in map(float, cfg.t_values):
-        c_k, se = free_energy_empirical(res.law, res.params, mu_k, n_k, t, cfg.replicates, cfg.seed)
-        c_lim = free_energy_limit(res.law, res.params, t)
-        warned = warned or se > 0.2 * max(abs(c_k), 1e-12)
-        rows += [f"c_k,{_g(t)},{_g(c_k)},{_g(se)}", f"c_limit,{_g(t)},{_g(c_lim)},0"]
+    for t, ck, err, cl in zip(cfg.t_values, c_k.tolist(), se.tolist(), c_lim.tolist()):
+        warned = warned or err > 0.2 * max(abs(ck), 1e-12)
+        rows += [f"c_k,{_g(t)},{_g(ck)},{_g(err)}", f"c_limit,{_g(t)},{_g(cl)},0"]
     rates = rate_function(res.law, res.params, cfg.grid)
     rows += [f"rate,{_g(s)},{_g(val)},0" for s, val in zip(cfg.grid, rates)]
     res.write("kind,arg,value,stderr", rows)

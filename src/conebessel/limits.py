@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedRankError
+from .errors import DimensionError, DomainError, UnsupportedRankError
 # walk_simulate is a perfbench span target
 from .hypergroup import RadialLaw, _walk_draws, _walk_steps, walk_batch, walk_simulate  # noqa: F401
 from .linalg import ConeMatrix, StructureParams, _real_if_exact, psd_sqrt
@@ -303,6 +303,8 @@ def _tilt(nu: RadialLaw, t):
     p_i(t) = w_i e^{t x_i - c(t)} (t's shape + (m,)) and the free energy
     c(t) = ln sum_i w_i e^{t x_i} (t's shape), shifted by the largest
     exponent.  c'(t) is the mean of x under p(t) and c''(t) its variance."""
+    if nu.q != 1:
+        raise DimensionError("law rank does not match params")
     with np.errstate(over="ignore"):
         x = np.array([np.real(a.array[0, 0]) ** 2 for a in nu.atoms])
     if not np.all(np.isfinite(x)):
@@ -314,10 +316,11 @@ def _tilt(nu: RadialLaw, t):
     return x, p / total, (shift + np.log(total))[..., 0]
 
 
-def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: int, t: float,
+def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: int, t,
                           replicates: int, master_seed: int):
     """Finite-k free energy c_k(t) = (1/n) ln E[exp(t S_n^2)] by Monte
-    Carlo over `replicates` walks, with delta-method standard error.
+    Carlo over `replicates` walks, with delta-method standard error, at a
+    scalar t (two floats) or an array of t (two arrays of its shape).
 
     The walks pick their atoms from the tilted law nu_t and are reweighted
     exactly: c_k(t) = c(t) + (1/n) ln E_{nu_t}[exp(t (S_n^2 - sum_k x_{i_k}))].
@@ -325,40 +328,53 @@ def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: 
     squares.  At a large index it is small, the weights are nearly equal
     and the standard error is honest.  At a small one (mu = 8) nu_t is not
     the optimal tilt: the weights are heavy-tailed and the standard error
-    understates the spread across seeds.  Each stream makes a walk_batch
-    walk's generator calls; only its map from pick variates to atoms
-    follows nu_t.
+    understates the spread across seeds.  Each t has its own streams,
+    labelled by mu, n and t, and each stream makes a walk_batch walk's
+    generator calls; only its map from pick variates to atoms follows
+    nu_t.  The walks of every nonzero t run as one stack, and a walk's bits
+    do not depend on the stack, so each t gets the value of a call with t
+    alone.  c_k(0) = 0 needs no walks.
     """
     _require_rank_one(params, "the free energy")
     if n < 1 or replicates < 2:
         raise DomainError("need n >= 1 and replicates >= 2")
     pk = params.with_mu(mu)
-    if t == 0.0:
-        return 0.0, 0.0
-    x, p, c = _tilt(nu, t)
-    label = f"ldp:mu={mu:.17g}:n={n}:t={t:.17g}"
-    rngs = [substream(master_seed, label, r) for r in range(replicates)]
-    atoms, u, balls = _walk_draws(nu, pk, n, rngs)
-    # built as RadialLaw._cdf is; an atom whose tilted weight underflows
-    # to 0 is never picked
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    picks = cdf.searchsorted(u, side="right")
-    for ends in _walk_steps(pk, atoms, picks, balls):
-        pass
-    exponents = t * (np.real(ends[:, 0, 0]) ** 2 - x[picks].sum(axis=1))
-    shift = float(exponents.max())
-    w = np.exp(exponents - shift)
-    mean_w = float(w.mean())
-    c_val = float(c) + (shift + math.log(mean_w)) / n
-    rel_se = float(w.std(ddof=1)) / (mean_w * math.sqrt(replicates))
-    return c_val, rel_se / n
+    t = np.asarray(t, dtype=float)
+    c_k, se = np.zeros(t.shape), np.zeros(t.shape)
+    tilted = t != 0.0
+    tilts = t[tilted]
+    if tilts.size:
+        x, p, c = _tilt(nu, tilts)
+        rngs = [substream(master_seed, f"ldp:mu={mu:.17g}:n={n}:t={tt:.17g}", r)
+                for tt in tilts for r in range(replicates)]
+        atoms, u, balls = _walk_draws(nu, pk, n, rngs)
+        # built as RadialLaw._cdf is; an atom whose tilted weight underflows
+        # to 0 is never picked
+        cdf = np.cumsum(p, axis=1)
+        cdf /= cdf[:, -1:]
+        u = u.reshape(len(tilts), replicates, n)
+        picks = np.concatenate([row.searchsorted(block, side="right") for row, block in zip(cdf, u)])
+        for ends in _walk_steps(pk, atoms, picks, balls):
+            pass
+        fluctuations = np.real(ends[:, 0, 0]) ** 2 - x[picks].sum(axis=1)
+        values = []
+        for tt, ct, fluct in zip(tilts, c, fluctuations.reshape(len(tilts), replicates)):
+            exponents = tt * fluct
+            shift = float(exponents.max())
+            w = np.exp(exponents - shift)
+            mean_w = float(w.mean())
+            rel_se = float(w.std(ddof=1)) / (mean_w * math.sqrt(replicates))
+            values.append((float(ct) + (shift + math.log(mean_w)) / n, rel_se / n))
+        c_k[tilted], se[tilted] = np.array(values).T
+    return (c_k, se) if t.ndim else (float(c_k), float(se))
 
 
-def free_energy_limit(nu: RadialLaw, params: StructureParams, t: float) -> float:
-    """Limiting free energy c(t) = ln of the atomic mean of exp(t s^2)."""
+def free_energy_limit(nu: RadialLaw, params: StructureParams, t):
+    """Limiting free energy c(t) = ln of the atomic mean of exp(t s^2), at a
+    scalar or an array of t, in t's shape."""
     _require_rank_one(params, "the free energy")
-    return float(_tilt(nu, t)[2])
+    c = _tilt(nu, np.asarray(t, dtype=float))[2]
+    return c if c.ndim else float(c)
 
 
 def rate_function(nu: RadialLaw, params: StructureParams, s):
@@ -390,9 +406,13 @@ def rate_function(nu: RadialLaw, params: StructureParams, s):
         y = (x - lo) / unit
         # max x - c'(t) = sum_i p_i(t) u_i <= sum_i w_i u_i e^{-t u_i} / w_hi
         # <= 1 / (e t w_hi) for t > 0 (u_i = max x - x_i), below max x - s
-        # at t_hi; likewise c'(t) < s at t_lo
-        t_lo = -1.0 / (w_lo * (target - lo))
-        t_hi = 1.0 / (w_hi * (hi - target))
+        # at t_hi; likewise c'(t) < s at t_lo.  An s a subnormal distance
+        # from an end overflows these bounds: they are kept where t x and
+        # the midpoint of two bounds are floats
+        big = np.finfo(float).max / (2.0 * max(hi, 1.0))
+        with np.errstate(divide="ignore", over="ignore"):
+            t_lo = np.maximum(-1.0 / (w_lo * (target - lo)), -big)
+            t_hi = np.minimum(1.0 / (w_hi * (hi - target)), big)
         goal = np.log(target - lo) - np.log(hi - target)
         t = np.zeros_like(target)
         while True:

@@ -13,6 +13,7 @@ takes the same spectral path without them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,16 @@ class StructureParams:
 
     def with_mu(self, mu: float) -> "StructureParams":
         return StructureParams(self.q, self.d, float(mu))
+
+    @cached_property
+    def _ball_shapes(self) -> tuple:
+        """(width, shapes) of _ball_variates: the d (q^2 + q(q-1)/2) normals
+        and the q gamma shapes mu - d (q + i) / 2, i < q, of one ball draw.
+        At q = 1 the shape is a float, which standard_gamma takes faster
+        than a one-element array, with the same draws."""
+        q, d = self.q, self.d
+        shapes = self.mu - d * (q + np.arange(q)) / 2.0
+        return d * (q * q + q * (q - 1) // 2), float(shapes[0]) if q == 1 else shapes
 
 
 def _as_array(x) -> np.ndarray:
@@ -248,10 +259,8 @@ def _ball_variates(params: StructureParams, rng, n: int):
     variates of shapes mu - d (q + i) / 2 = d (nu - i) / 2, i < q, with
     nu = 2 mu / d - q the Wishart degrees of freedom.
     """
-    q, d = params.q, params.d
-    z = rng.standard_normal((n, d * (q * q + q * (q - 1) // 2)))
-    g = rng.standard_gamma(params.mu - d * (q + np.arange(q)) / 2.0, size=(n, q))
-    return z, g
+    width, shapes = params._ball_shapes
+    return rng.standard_normal((n, width)), rng.standard_gamma(shapes, size=(n, params.q))
 
 
 def _ball_points(params: StructureParams, z: np.ndarray, g: np.ndarray) -> np.ndarray:

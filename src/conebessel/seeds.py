@@ -16,6 +16,7 @@ through the tilted law nu_t (limits.free_energy_empirical).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -23,16 +24,23 @@ import numpy as np
 STREAM_VERSION = 3
 
 
+@functools.lru_cache
+def _label_words(label: str) -> tuple:
+    """The first two little-endian 32-bit words of the label's SHA-256
+    digest, hashed once for all of a label's replicates (the recent labels
+    are kept)."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return int.from_bytes(digest[0:4], "little"), int.from_bytes(digest[4:8], "little")
+
+
 def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Independent generator for (master seed, label, replicate index).
 
     The label enters the seed sequence's spawn key as the first two
-    little-endian 32-bit words of its SHA-256 digest.
+    little-endian 32-bit words of its SHA-256 digest.  The generator is
+    np.random.default_rng of that seed sequence.
     """
     if index < 0:
         raise ValueError(f"replicate index must be nonnegative, got {index}")
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    w1 = int.from_bytes(digest[0:4], "little")
-    w2 = int.from_bytes(digest[4:8], "little")
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(w1, w2, int(index)))
-    return np.random.default_rng(seq)
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=(*_label_words(label), int(index)))
+    return np.random.Generator(np.random.PCG64(seq))

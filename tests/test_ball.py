@@ -72,6 +72,18 @@ def test_draws_do_not_depend_on_the_batch():
     assert np.array_equal(stacked[2], alone)
 
 
+@pytest.mark.parametrize("d, mu", [(1, 6.0), (2, 1.3), (1, 2.0**20)])
+def test_rank_one_gamma_shape_is_a_float_with_the_array_shape_bits(d, mu):
+    # at q = 1 the gamma shape goes to standard_gamma as a float: the same
+    # draws and stream position as a one-element shape array
+    params = StructureParams(q=1, d=d, mu=mu)
+    rng, twin = np.random.default_rng(35), np.random.default_rng(35)
+    z, g = _ball_variates(params, rng, 64)
+    assert np.array_equal(z, twin.standard_normal((64, d)))
+    assert np.array_equal(g, twin.standard_gamma(np.array([mu - d / 2.0]), size=(64, 1)))
+    assert rng.random() == twin.random()
+
+
 def test_rank_one_below_rho_is_the_arcsine_law():
     # q = d = 1 at mu = rho - 1/2: the density (1 - v^2)^(-1/2) / pi on (-1, 1)
     params = StructureParams(q=1, d=1, mu=1.0)

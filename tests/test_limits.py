@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conebessel.errors import DomainError, UnsupportedRankError
+from conebessel.errors import DimensionError, DomainError, UnsupportedRankError
 from conebessel.hypergroup import RadialLaw, walk_batch
 from conebessel.limits import (
     ExperimentReport,
@@ -225,6 +225,21 @@ def test_free_energy_at_zero_tilt_runs_no_walks(monkeypatch):
         free_energy_empirical(law, P1, 64.0, 0, 0.0, 10, 3)
 
 
+def test_free_energy_tilt_grid_is_its_scalar_calls():
+    # every tilt's walks run as one stack, each on its own streams: the
+    # grid gives the scalar calls' bits, and c_k(0) = 0 is no walk at all
+    law = _rank_one_law((0.3, 0.7), (0.4, 1.0))
+    grid = free_energy_empirical(law, P1, 16.0, 5, [-1.0, 0.0, 1.0], 20, 8)
+    scalar = [free_energy_empirical(law, P1, 16.0, 5, t, 20, 8) for t in (-1.0, 0.0, 1.0)]
+    assert all(isinstance(v, float) for pair in scalar for v in pair)
+    assert grid[0].shape == grid[1].shape == (3,)
+    assert grid[0].tolist() == [c for c, _ in scalar]
+    assert grid[1].tolist() == [se for _, se in scalar]
+    assert scalar[1] == (0.0, 0.0)
+    limits = free_energy_limit(law, P1, [-1.0, 0.0, 1.0])
+    assert limits.tolist() == [free_energy_limit(law, P1, t) for t in (-1.0, 0.0, 1.0)]
+
+
 def test_free_energy_limit_bernoulli_closed_form():
     law = _bernoulli_law()
     for t in (-3.0, -0.5, 0.0, 1.0, 4.0):
@@ -293,6 +308,28 @@ def test_rate_function_endpoints_and_outside_the_support():
     assert np.all(got[1] == math.inf)
     assert isinstance(rate_function(law, P1, 0.0), float)
     assert rate_function(_rank_one_law((1.0,), (0.7,)), P1, 0.7**2) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_function_next_to_an_end_of_the_support():
+    # atom squares {0, 1e-150, 1}: at s a subnormal distance above 0 the
+    # bracket bound -1 / (w_0 s) overflows a float, yet the supremum sits at
+    # a finite t near -3.7e152 and I(s) is -ln w_0 to far below 1e-12
+    law = _rank_one_law((0.25, 0.25, 0.5), (0.0, 1e-75, 1.0))
+    got = rate_function(law, P1, [1e-310, 5e-324])
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, -math.log(0.25), rtol=0.0, atol=1e-12)
+
+
+def test_large_deviations_need_a_rank_one_law():
+    # q = 1 params with a rank-2 law would read each atom's [0, 0] entry
+    law = RadialLaw(weights=(0.5, 0.5), atoms=(np.diag([0.0, 5.0]), np.eye(2)))
+    with pytest.raises(DimensionError):
+        free_energy_limit(law, P1, 1.0)
+    with pytest.raises(DimensionError):
+        rate_function(law, P1, 0.5)
+    with pytest.raises(DimensionError):
+        free_energy_empirical(law, P1, 64.0, 4, 1.0, 10, 0)
 
 
 def test_free_energy_reweights_walks_of_the_tilted_law():

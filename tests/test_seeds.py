@@ -31,6 +31,18 @@ def test_label_words_match_sha256():
     assert np.array_equal(substream(42, "walk:7", 3).uniform(size=8), want.uniform(size=8))
 
 
+def test_interleaved_labels_keep_their_streams():
+    # each label is hashed once and reused: streams of interleaved labels
+    # are still the numpy streams of their own spawn keys
+    seq = [("walk:7", 0), ("ldp:t=1", 0), ("walk:7", 1), ("ldp:t=-1", 2), ("ldp:t=1", 5),
+           ("walk:7", 1)]
+    for label, i in seq:
+        digest = hashlib.sha256(label.encode()).digest()
+        key = (int.from_bytes(digest[0:4], "little"), int.from_bytes(digest[4:8], "little"), i)
+        want = np.random.default_rng(np.random.SeedSequence(9, spawn_key=key))
+        assert np.array_equal(substream(9, label, i).random(6), want.random(6))
+
+
 def test_negative_replicate_index_rejected():
     with pytest.raises(ValueError):
         substream(0, "x", -1)
