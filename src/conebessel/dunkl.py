@@ -26,6 +26,7 @@ from .errors import DimensionError, DomainError, IllConditionedError
 from .jack import (
     layer_values,  # noqa: F401  (looked up here by the perfbench span recorder)
     layers,
+    unit_layers,
 )
 from .bessel import DEFAULT_MAX_WEIGHT, _certified_sum, _mc_mean_se, _series_from_eigs
 from .linalg import StructureParams, _haar_batch
@@ -122,11 +123,11 @@ def hyper_0F0(
     )
 
     def terms():
-        lx, le, l1 = (layers(alpha, q, v) for v in (x[None, :], e[None, :], np.ones((1, q))))
+        lx, le = (layers(alpha, q, v[None, :]) for v in (x, e))
         inv_fact = 1.0
-        for k, ((_, vx), (_, ve), (_, v1)) in enumerate(zip(lx, le, l1), start=1):
+        for k, ((_, vx), (_, ve), v1) in enumerate(zip(lx, le, unit_layers(alpha, q)), start=1):
             inv_fact /= k
-            yield inv_fact * float((vx[:, 0] * ve[:, 0] / v1[:, 0]).sum())
+            yield inv_fact * float((vx[:, 0] * ve[:, 0] / v1).sum())
 
     total, tail = _certified_sum(
         terms(), np.asarray([s]), tol, max_weight, "0F0 series", partial="0F0 partial sum"

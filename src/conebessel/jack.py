@@ -48,6 +48,7 @@ __all__ = [
     "partitions_of_weight",
     "gen_pochhammer",
     "layers",
+    "unit_layers",
     "layer_values",
 ]
 
@@ -162,11 +163,13 @@ class _JackTable:
         self._lock = threading.Lock()
 
     def layer(self, k: int):
-        """(partitions, coeff matrix, exponent arrays) for weight k.
+        """(partitions, coeff matrix, exponent arrays, values at ones) for
+        weight k.
 
         coeff[i, j] is the coefficient of m_{parts[j]} in C_{parts[i]};
         exponent arrays list, per partition, the distinct permutations of
-        its parts padded to q slots, ready for monomial evaluation.
+        its parts padded to q slots, ready for monomial evaluation; the
+        values at ones are C_{parts[i]}(1, ..., 1).
         """
         with self._lock:
             got = self._layers.get(k)
@@ -226,7 +229,9 @@ class _JackTable:
             padded = tuple(mu) + (0,) * (self.q - len(mu))
             perms = sorted(set(itertools.permutations(padded)))
             expo.append(np.asarray(perms, dtype=np.intp))
-        return parts, coeff, expo
+        # C_lambda(1, ..., 1), by the arithmetic layers does at one point
+        ones = coeff @ _monomial_values(expo, np.ones((self.q, k + 1, 1)))
+        return parts, coeff, expo, ones[:, 0]
 
 
 _TABLES: dict = {}
@@ -304,8 +309,17 @@ def layers(alpha, q: int, xi_batch: np.ndarray):
     for k in itertools.count(1):
         if powers.shape[1] <= k:
             powers = _more_powers(xi, powers, 2 * k)
-        parts, coeff, expo = table.layer(k)
+        parts, coeff, expo, _ = table.layer(k)
         yield parts, coeff @ _monomial_values(expo, powers)
+
+
+def unit_layers(alpha, q: int):
+    """Yield the weight-k values C_lambda^alpha(1, ..., 1) for k = 1, 2, ...,
+    tabulated once per layer of the (alpha, q) table, bit for bit the values
+    of layers(alpha, q, np.ones((1, q)))."""
+    table = _get_table(alpha, q)
+    for k in itertools.count(1):
+        yield table.layer(k)[3]
 
 
 def layer_values(alpha, q: int, k: int, xi_batch: np.ndarray):

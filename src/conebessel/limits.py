@@ -388,7 +388,9 @@ def rate_function(nu: RadialLaw, params: StructureParams, s):
     over (c' - min x)(max x - c'), inside a bracket that each step shrinks
     (bisecting where a step would leave it), in units of the spread of the
     squares, so the atoms' scale does not change the steps.  At an end of
-    the range I is -ln of the weight there; outside it I is inf.
+    the range I is -ln of the weight there; outside it I is inf.  Where the
+    supremum lies at a t beyond the float range (atom squares closer than
+    about 1e-306 of their spread), I is nan.
     """
     _require_rank_one(params, "the rate function")
     x, w, _ = _tilt(nu, 0.0)
@@ -430,5 +432,7 @@ def rate_function(nu: RadialLaw, params: StructureParams, s):
             t = step
             if done:
                 break
-        rate[inside] = target * t - _tilt(nu, t)[2]
+        # an iterate past half the clamp ran into it: the supremum lies at a
+        # t beyond the float range, and s t - c(t) there is a lower bound
+        rate[inside] = np.where(np.abs(t) < big / 2.0, target * t - _tilt(nu, t)[2], math.nan)
     return rate if rate.ndim else float(rate)

@@ -11,7 +11,10 @@ changes whenever a seeded result changes, and every CSV and config echo
 records it.  Version 2 draws the ball density exactly (linalg._ball_points)
 and draws a walk's randomness when the walk starts.  Version 3 consumes
 the streams as version 2 does, but the ldp walks map their pick variates
-through the tilted law nu_t (limits.free_energy_empirical).
+through the tilted law nu_t (limits.free_energy_empirical).  Version 4
+consumes the streams as version 3 does; only the bessel CSVs' series_tail
+column changes, as the package computes the certified Poisson tail itself
+(bessel._poisson_tail), raised to cover its rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import hashlib
 
 import numpy as np
 
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 
 @functools.lru_cache

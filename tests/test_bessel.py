@@ -7,8 +7,11 @@ of tests/ball_oracle.py above it.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from conebessel.bessel import (
@@ -192,16 +195,60 @@ def test_poisson_tail_matches_brute_force():
             assert got == pytest.approx(brute, rel=1e-10, abs=1e-300)
 
 
+# tail arguments: zero, the smallest subnormal, tiny, moderate, e^s near the
+# largest float, and e^s past it
+_TAIL_S = (0.0, 5e-324, 1e-300, 1e-8, *np.geomspace(0.1, 50.0, 24).tolist(), 700.0, 709.7, 800.0)
+
+
+def _assert_certified_tail(k, s, got):
+    """got is at least sum_{j>k} s^j / j! (mpmath, 50 digits) and within
+    1e-13 of it, or within the subnormal pad of it below the normal range;
+    inf where e^s overflows a float."""
+    if s > math.log(np.finfo(float).max):
+        assert got == math.inf, (k, s)
+        return
+    with mpmath.workdps(50):
+        exact = mpmath.exp(s) * mpmath.gammainc(k + 1, 0, s, regularized=True)
+        assert mpmath.mpf(got) >= exact, (k, s, got)
+        assert mpmath.mpf(got) <= exact * (1 + mpmath.mpf(1e-13)) + (k + 2) ** 2 * 2.0**-1072, (k, s, got)
+
+
+def test_poisson_tail_is_certified_against_mpmath():
+    for k in range(81):
+        batch = _poisson_tail(k, np.array(_TAIL_S))
+        for s, got in zip(_TAIL_S, batch.tolist()):
+            _assert_certified_tail(k, s, got)
+            _assert_certified_tail(k, s, _poisson_tail(k, s))
+    assert _poisson_tail(3, 0.0) == 0.0
+    assert not _poisson_tail(3, np.zeros(4)).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 80), st.lists(st.floats(0.0, 709.7), min_size=1, max_size=6))
+def test_poisson_tail_property(k, points):
+    # the float path, and the batch path with points on both sides of k + 1
+    for s, got in zip(points, _poisson_tail(k, np.array(points)).tolist()):
+        _assert_certified_tail(k, s, got)
+        _assert_certified_tail(k, s, _poisson_tail(k, s))
+
+
 # SHA-256 of the seeded bessel CSVs below the config-hash line (which
-# carries the stream version), recorded under stream version 2 and holding
-# under version 3 (seeds.STREAM_VERSION); every byte must stay the same
-# until the version changes.
+# carries the stream version), recorded under stream version 4
+# (seeds.STREAM_VERSION); every byte must stay the same until the version
+# changes.  The second digest of each case leaves out the series_tail
+# column.  It was recorded under version 3, before the package computed
+# the tail itself, and shows that no other value moved with it.
 _BESSEL_DIGESTS = {
-    (1, 1): "72b942f0cd402fdb73d6282bcad978f4b8add47bc67b58a21b52f07e3f7ffff0",
-    (2, 1): "0d98895649356e96479fb3e67bf2ffee210bf852765109ef483c785bd76262cb",
-    (2, 2): "09d36e941f37020a4f129c53c1a8a4422b3b56eda09f674111b984490e756dd7",
-    (3, 1): "c771017a3cbf3f4123cf71ae37cda659af9f2606f181b21700d6f7b14e72e879",
-    (3, 2): "9568f4f9883fecc8e0de177a0ebedc3f075466b31cc6a61c703b8b84f2f8d8b8",
+    (1, 1): ("76f9e1e38bfd313ee292b4cb2aa402f2237d66d6b1bfe9117629fa52debcf794",
+             "0210851fa41492b743651e12b3c889ae69282b545868b251b6f867a0de7435d0"),
+    (2, 1): ("333f1abdc1751cc33682622d2edba37e11566b47d74e2197c3bea064e5caee2c",
+             "f4ca85e73760df755d5b4ce6a140b7c4ecb9055631e81339919f092d5e71dcda"),
+    (2, 2): ("dd9de29bb3640012f33be4f62d862c337b8a1a718fccbd8787876700105bed38",
+             "0811929106b5366b8cb80a0b47a4c8cdd22ffb3f464b3b05de67aef0e0a6517d"),
+    (3, 1): ("7289d473dbddd74a594fa694088f2612e7c57fde1292cbdb45a2f8db32f0248f",
+             "7882956d93acb3d41e8133efcd61bb076e21368cd052df1f5375d7a087dd3048"),
+    (3, 2): ("be54338f3d733ac984b9af43d28f845ad9372ca52722ac91e08d0a5a24f04e74",
+             "94947c448fb5268b90620ead24dd5463f1d588e902b65b6e943eedff0b986b14"),
 }
 
 
@@ -210,10 +257,12 @@ def test_bessel_csv_matches_pinned_digest(csv_digest, q, d):
     # q = 1 includes the classical column; x up to 6 takes q = 3 past weight 16
     argv = ["bessel", "--q", str(q), "--d", str(d), "--mu", "12", "--grid", "0:6:0.75",
             "--n-samples", "3000", "--seed", "23"]
-    assert csv_digest(argv) == _BESSEL_DIGESTS[(q, d)]
+    assert (csv_digest(argv), csv_digest(argv, drop="series_tail")) == _BESSEL_DIGESTS[(q, d)]
 
 
 def test_bessel_default_grid_csv_matches_pinned_digest(csv_digest):
     # no --grid: the subcommand's default grid 0:4:0.25
     argv = ["bessel", "--q", "2", "--d", "1", "--mu", "4", "--n-samples", "500", "--seed", "5"]
-    assert csv_digest(argv) == "559becca0fbf1dea220310fc1af45edffcdb341b3f8a8c0ed2eee31f3b478121"
+    assert csv_digest(argv) == "9cdbc130ac2ee8fa6c230b235706c49ebd4747ba83e7268440a511c1b008d767"
+    assert (csv_digest(argv, drop="series_tail")
+            == "1a9386b9c03dcb6fb3320e0bc86d92624e8976612f2afc538ac2a570dfc79b5b")

@@ -25,6 +25,7 @@ from conebessel.jack import (
     layer_values,
     layers,
     partitions_of_weight,
+    unit_layers,
 )
 
 POINT = np.array([1.0, 0.5, 0.25, 0.125])
@@ -156,7 +157,7 @@ def test_layer_values_shapes():
 def _reference_layer(alpha, q, k, xi):
     """Weight-k layer with its own powers xi ** (0..k), each monomial term a
     gathered row product: the evaluation before layers shared one table."""
-    parts, coeff, expo = _get_table(alpha, q).layer(k)
+    parts, coeff, expo, _ = _get_table(alpha, q).layer(k)
     powers = xi[:, :, None] ** np.arange(k + 1)
     cols = np.arange(q)
     mvals = np.empty((len(expo), xi.shape[0]))
@@ -166,6 +167,14 @@ def _reference_layer(alpha, q, k, xi):
             acc += powers[:, cols, perm].prod(axis=1)
         mvals[r] = acc
     return parts, coeff @ mvals
+
+
+@pytest.mark.parametrize("alpha, q", [(1.0, 1), (1.0, 3), (2.0, 2), (2.0, 3), (0.5, 4)])
+def test_unit_layers_are_the_layers_at_ones_bit_for_bit(alpha, q):
+    # hyper_0F0 divides by these; tabulating them once per layer must not
+    # move a bit of the values a third layers generator at (1, ..., 1) gave
+    for k, v1, (_, want) in zip(range(1, 15), unit_layers(alpha, q), layers(alpha, q, np.ones((1, q)))):
+        assert v1.tobytes() == want[:, 0].tobytes(), k
 
 
 def _assert_layers_match_reference(alpha, q, xi):

@@ -114,7 +114,7 @@ def test_config_hash_is_order_invariant_and_frozen():
 def test_report_csv_golden():
     rep = ExperimentReport(rows=(ReportRow("wlln", 2, 4.0, 2, 10, "tail_prob", 0.25, 0.1, 7),))
     want = (
-        "# config_hash=015abd7f5cc57a2d stream_version=3\n"
+        "# config_hash=015abd7f5cc57a2d stream_version=4\n"
         "# seed=7\n"
         "experiment,k,mu,n,replicates,statistic,value,stderr,seed\n"
         "wlln,2,4,2,10,tail_prob,0.25,0.10000000000000001,7\n"
@@ -319,6 +319,20 @@ def test_rate_function_next_to_an_end_of_the_support():
     got = rate_function(law, P1, [1e-310, 5e-324])
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, -math.log(0.25), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_function_is_nan_where_the_supremum_is_beyond_the_float_range():
+    # atom squares {0, 1.48e-323, 1}: at s = 5e-324 the supremum sits at t
+    # near -1e323, past the bracket clamp.  The iterate ends at the clamp,
+    # where s t - c(t) is only a lower bound (0.6931, against the true 0.7498
+    # of the two-atom relative entropy), so I is nan there and finite where
+    # the squares are spread
+    for a in (3.85e-162, 6.3e-162, 1e-161):
+        law = _rank_one_law((0.25, 0.25, 0.5), (0.0, a, 1.0))
+        got = rate_function(law, P1, [5e-324, 0.25])
+        assert math.isnan(got[0]), a
+        assert math.isfinite(got[1])
 
 
 def test_large_deviations_need_a_rank_one_law():
