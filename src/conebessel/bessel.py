@@ -12,9 +12,10 @@ Z(|x|) summing to (tr|x|)^k, everything beyond weight K is bounded by
 
     2^{dq(q-1)/2} * sum_{k>K} (tr|x| / mu)^k / k!,
 
-a scalar Poisson tail.  Truncation is therefore never silent: callers get
-the certified bound, or a ConvergenceError carrying the bound achieved at
-the weight cap.
+a scalar Poisson tail.  The tail grows with tr|x|, so a batch of points
+gets one bound, taken at its largest tr|x| / mu.  Truncation is therefore
+never silent: callers get the certified bound, or a ConvergenceError
+carrying the bound achieved at the weight cap.
 
 The same function has an integral form against the ball density
 Delta(I - v*v)^{mu-rho}, estimated here by Monte Carlo with exact draws
@@ -42,6 +43,7 @@ from .linalg import (
     _ball_points,
     _ball_points as _ball_proposal_weights,  # noqa: F401  (looked up here by the perfbench span recorder)
     _ball_variates,
+    _require_field,
 )
 
 DEFAULT_TOL = 1e-10
@@ -60,39 +62,25 @@ _TINY = sys.float_info.min
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _poisson_tail(k: int, s):
-    """An upper bound on sum_{j > k} s^j / j!  for s >= 0, at a float s (a
-    float) or an array (an array of its shape).
+def _poisson_tail(k: int, s: float) -> float:
+    """An upper bound on sum_{j > k} s^j / j!  at a float s >= 0.
 
     Where s > k + 1 most of the mass lies beyond k and the tail is e^s less
     the head sum_{j <= k} s^j / j!; elsewhere it is summed from
     s^{k+1} / (k+1)! on (_tail_below_mode).  Every result is raised by a
     margin that covers its rounding, so that it never falls below the exact
     tail: the summands are products of rounded factors s / j, each rounding
-    adds at most 2^-53 relative error, exp is taken to be within 2 ulp (numpy
-    and libm measure within 0.67 ulp over [0, 709.78]), and a first term below
-    the normal range adds (k + 2)^2 multiples of 2^-1073 for the bits it lost.
+    adds at most 2^-53 relative error, exp is taken to be within 2 ulp (libm
+    measures within 0.67 ulp over [0, 709.78]), and a first term below the
+    normal range adds (k + 2)^2 multiples of 2^-1073 for the bits it lost.
     The bound is 0 at s = 0 and inf where e^s overflows.
     """
-    if isinstance(s, float):
-        if s > k + 1:
-            return _tail_above_mode(k, s, math.exp) if s <= _LOG_MAX else math.inf
-        return _tail_below_mode(k, s)[0]
-    s = np.asarray(s, dtype=float)
-    below = ~(s > k + 1)
-    if below.all():
-        return _tail_below_mode_batch(k, s, _tail_below_mode(k, float(s.max()))[1])
-    out = np.full(s.shape, math.inf)
-    finite = ~below & (s <= _LOG_MAX)
-    if finite.any():
-        out[finite] = _tail_above_mode(k, s[finite], np.exp)
-    if below.any():
-        low = s[below]
-        out[below] = _tail_below_mode_batch(k, low, _tail_below_mode(k, float(low.max()))[1])
-    return out
+    if s > k + 1:
+        return _tail_above_mode(k, s) if s <= _LOG_MAX else math.inf
+    return _tail_below_mode(k, s)
 
 
-def _tail_above_mode(k: int, s, exp):
+def _tail_above_mode(k: int, s: float) -> float:
     """e^s less the head, for k + 1 < s <= _LOG_MAX, raised by exp's error
     and the 3k roundings of the head; the head is at most half of e^s, so
     nothing cancels."""
@@ -100,17 +88,19 @@ def _tail_above_mode(k: int, s, exp):
     for j in range(1, k + 1):
         term = term * (s / j)
         head = head + term
-    big = exp(s)
+    big = math.exp(s)
     tail = big - head
     return tail + (4.01 * _U) * big + ((3 * k + 2) * 1.01 * _U) * head + (4.0 * _U) * tail
 
 
-def _tail_below_mode(k: int, s: float):
-    """The tail at a float s <= k + 1, and the index j of its last summand.
+def _tail_below_mode(k: int, s: float) -> float:
+    """The tail at s <= k + 1, whose terms fall from s^{k+1} / (k+1)! on.
 
-    The terms fall from s^{k+1} / (k+1)! on.  They are summed relative to
-    it, each one s / j times the last, until a term falls below 2^-53 of
-    the sum; what is left is below the geometric bound term * s / (j + 1 - s).
+    They are summed relative to it, each one s / j times the last, until a
+    term falls below 2^-53 of the sum; what is left is below the geometric
+    bound term * s / (j + 1 - s).  The sum is raised by 3k + 4(j - k) + 12
+    roundings, more than it makes, plus the subnormal pad where the first
+    term underflowed.
     """
     first = 1.0
     for j in range(1, k + 2):
@@ -121,48 +111,27 @@ def _tail_below_mode(k: int, s: float):
         j += 1
         ratio *= s / j
         total += ratio
-    return _raised(k, s, first, total + ratio * s / (j + 1 - s), j), j
-
-
-def _tail_below_mode_batch(k: int, s: np.ndarray, j: int) -> np.ndarray:
-    """_tail_below_mode on an array, with the summands up to j for every
-    point (j from its largest point, which needs the most), by Horner's
-    rule from the geometric bound inwards."""
-    steps = s * (1.0 / np.arange(1, j + 1))[:, None]
-    total = 1.0 + s / (j + 1 - s)
-    for row in steps[:k:-1]:
-        total *= row
-        total += 1.0
-    return _raised(k, s, np.prod(steps[: k + 1], axis=0), total, j)
-
-
-def _raised(k: int, s, first, total, j: int):
-    """first * total raised by 3k + 4(j - k) + 12 roundings, more than
-    either path makes, plus the subnormal pad where the first term
-    underflowed."""
-    bound = first * total * (1.0 + (3 * k + 4 * (j - k) + 12) * 1.01 * _U)
-    return bound + ((s > 0) & (first < _TINY)) * ((k + 2) ** 2 * 2.0 ** -1073)
+    bound = first * (total + ratio * s / (j + 1 - s))
+    bound *= 1.0 + (3 * k + 4 * (j - k) + 12) * 1.01 * _U
+    return bound + (k + 2) ** 2 * 2.0 ** -1073 if s > 0 and first < _TINY else bound
 
 
 def _certified_sum(terms, s: np.ndarray, tol: float, max_weight: int, name: str,
-                   partial: str | None = None, floor: float = 1.0):
+                   floor: float = 1.0):
     """1 + the weight-1, 2, ... terms of a batch of series, stopped by the
-    scalar Poisson tail.
+    scalar Poisson tail at the batch's largest point.
 
     terms yields, for k = 1, 2, ..., the weight-k term at every point of
     the batch; s holds one tail argument per point, so that everything
-    beyond weight K is at most floor * sum_{j>K} s^j / j!.  Returns
-    (partial sums, certified tail bounds) at the first K whose bound is
-    within tol at every point, and raises ConvergenceError (named `name`,
-    or `partial` for a partial sum) on a non-finite partial sum or when
-    max_weight is reached first.
+    beyond weight K is at most floor * sum_{j>K} s^j / j!.  That tail grows
+    with s, so the batch gets one bound, taken at its largest s.  Returns
+    (partial sums, that bound) at the first K where it is within tol;
+    raises ConvergenceError (named `name`) on a non-finite partial sum or
+    at max_weight.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    # the tail grows with s, so the batch misses tol whenever its largest-s
-    # point does, and that point's tail is at least its first term
-    # top^{k+1} / (k+1)!; the whole batch is evaluated only once the point
-    # passes, with slack for the rounding of a one-point evaluation
+    # the tail is at least its first term top^{k+1} / (k+1)!, a cheap check
     top = float(np.max(s))
     first = 1.0
     total = np.ones(s.shape)
@@ -173,19 +142,16 @@ def _certified_sum(terms, s: np.ndarray, tol: float, max_weight: int, name: str,
                 total += next(terms)
             if not np.all(np.isfinite(total)):
                 raise ConvergenceError(
-                    f"{partial or name + ' partial sum'} is not finite at weight {k}",
+                    f"{name} partial sum is not finite at weight {k}",
                     achieved_bound=math.inf,
                 )
         first *= top / (k + 1)
-        if floor * first > tol * (1.0 + 1e-9):
+        if floor * first > tol:
             continue
         tail = floor * _poisson_tail(k, top)
-        if tail > tol * (1.0 + 1e-9):
-            continue
-        tail = floor * _poisson_tail(k, s) if s.size > 1 else np.array([tail])
-        if np.max(tail) <= tol:
+        if tail <= tol:
             return total, tail
-    achieved = float(np.max(floor * _poisson_tail(max(max_weight, 0), s)))
+    achieved = floor * _poisson_tail(max(max_weight, 0), top)
     raise ConvergenceError(
         f"{name} not certified to {tol:.2e} within weight {max_weight}; "
         f"achieved bound {achieved:.2e}",
@@ -202,8 +168,8 @@ def _series_from_eigs(
 ):
     """Truncated Bessel series on a batch of eigenvalue vectors.
 
-    eigs has shape (batch, q).  Returns (values, certified tail bounds),
-    both of shape (batch,).
+    eigs has shape (batch, q).  Returns (values of shape (batch,), one
+    certified tail bound, taken at the batch's largest tr|x| / mu).
     """
     if mu <= params.rho - 1.0:
         raise DomainError(
@@ -245,8 +211,8 @@ def bessel_series(
     if a.shape != (params.q, params.q):
         raise DimensionError(f"argument must be {params.q} x {params.q}, got {a.shape}")
     eigs = HermitianMatrix(a).eigenvalues()
-    vals, tails = _series_from_eigs(mu, eigs[None, :], params, tol, max_weight)
-    return float(vals[0]), float(tails[0])
+    vals, tail = _series_from_eigs(mu, eigs[None, :], params, tol, max_weight)
+    return float(vals[0]), tail
 
 
 def bessel_classical(kappa: float, z: float):
@@ -328,6 +294,7 @@ def bessel_integral_mc(mu: float, x, params: StructureParams, n_samples: int, rn
     a = _as_array(x)
     if a.shape != (params.q, params.q):
         raise DimensionError(f"argument must be {params.q} x {params.q}, got {a.shape}")
+    _require_field(params, a)
     ball = params.with_mu(mu)  # a DomainError unless mu > rho - 1
     conj_x = np.conj(a).ravel()
 

@@ -129,10 +129,8 @@ def hyper_0F0(
             inv_fact /= k
             yield inv_fact * float((vx[:, 0] * ve[:, 0] / v1).sum())
 
-    total, tail = _certified_sum(
-        terms(), np.asarray([s]), tol, max_weight, "0F0 series", partial="0F0 partial sum"
-    )
-    return float(total[0]), float(tail[0])
+    total, tail = _certified_sum(terms(), np.asarray([s]), tol, max_weight, "0F0 series")
+    return float(total[0]), tail
 
 
 def _vandermonde(z: np.ndarray) -> float:

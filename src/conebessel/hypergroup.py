@@ -23,7 +23,6 @@ convolve_sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .linalg import (
     _ball_variates,
     _psd_sqrt_stack,
     _real_if_exact,
+    _require_field,
     psd_sqrt,
 )
 
@@ -69,17 +69,18 @@ class RadialLaw:
     def q(self) -> int:
         return self.atoms[0].q
 
-    @cached_property
-    def _cdf(self) -> np.ndarray:
-        """Cumulative weights over their total, as Generator.choice builds them."""
-        cdf = np.cumsum(np.asarray(self.weights, dtype=float))
-        cdf /= cdf[-1]
-        return cdf
-
     def sample_index(self, rng: np.random.Generator) -> int:
-        """One rng.random() mapped through the cdf: the index, and the draw,
+        """One rng.random() mapped through _picks: the index, and the draw,
         of rng.choice(len(atoms), p=weights)."""
-        return int(self._cdf.searchsorted(rng.random(), side="right"))
+        return int(_picks(self.weights, rng.random()))
+
+
+def _picks(weights, u):
+    """Atom indices for pick variates u, as Generator.choice maps them: the
+    cumulative weights over their total, searched from the right."""
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
 
 
 def _ball_stack(params: StructureParams, variates, n: int) -> np.ndarray:
@@ -130,6 +131,8 @@ def convolve_sample(r, s, params: StructureParams, rng: np.random.Generator) -> 
     sm = s if isinstance(s, ConeMatrix) else ConeMatrix(s)
     if rm.q != sm.q or rm.q != params.q:
         raise DimensionError("rank mismatch between arguments and params")
+    _require_field(params, rm.array)
+    _require_field(params, sm.array)
     if rm.is_zero():
         return sm
     if sm.is_zero():
@@ -147,8 +150,7 @@ def _walk_draws(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
     if n_steps < 0:
         raise DomainError("n_steps must be nonnegative")
     atoms = np.stack([a.array for a in nu.atoms])
-    if np.iscomplexobj(atoms) and params.d == 1:
-        raise DomainError("a law with complex atoms needs the complex field, d=2")
+    _require_field(params, atoms)
     draws = [(rng.random(n_steps), _ball_variates(params, rng, n_steps)) for rng in rngs]
     u = np.array([picks for picks, _ in draws]).reshape(len(rngs), n_steps)
     return atoms, u, _ball_stack(params, [variates for _, variates in draws], n_steps)
@@ -192,7 +194,7 @@ def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
     successive walk_simulate(nu, params, n_steps, rng) calls.
     """
     atoms, u, balls = _walk_draws(nu, params, n_steps, rngs)
-    yield from _walk_steps(params, atoms, nu._cdf.searchsorted(u, side="right"), balls)
+    yield from _walk_steps(params, atoms, _picks(nu.weights, u), balls)
 
 
 def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng) -> tuple:

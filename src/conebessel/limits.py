@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, UnsupportedRankError
 # walk_simulate is a perfbench span target
-from .hypergroup import RadialLaw, _walk_draws, _walk_steps, walk_batch, walk_simulate  # noqa: F401
+from .hypergroup import RadialLaw, _picks, _walk_draws, _walk_steps, walk_batch, walk_simulate  # noqa: F401
 from .linalg import ConeMatrix, StructureParams, _real_if_exact, psd_sqrt
 from .seeds import STREAM_VERSION, substream
 
@@ -348,12 +348,9 @@ def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: 
         rngs = [substream(master_seed, f"ldp:mu={mu:.17g}:n={n}:t={tt:.17g}", r)
                 for tt in tilts for r in range(replicates)]
         atoms, u, balls = _walk_draws(nu, pk, n, rngs)
-        # built as RadialLaw._cdf is; an atom whose tilted weight underflows
-        # to 0 is never picked
-        cdf = np.cumsum(p, axis=1)
-        cdf /= cdf[:, -1:]
+        # an atom whose tilted weight underflows to 0 is never picked
         u = u.reshape(len(tilts), replicates, n)
-        picks = np.concatenate([row.searchsorted(block, side="right") for row, block in zip(cdf, u)])
+        picks = np.concatenate([_picks(row, block) for row, block in zip(p, u)])
         for ends in _walk_steps(pk, atoms, picks, balls):
             pass
         fluctuations = np.real(ends[:, 0, 0]) ** 2 - x[picks].sum(axis=1)

@@ -87,6 +87,12 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
+def _require_field(params: StructureParams, a) -> None:
+    """Raise DomainError where a has a nonzero imaginary part over the reals (d=1)."""
+    if params.d == 1 and np.iscomplexobj(a) and np.any(np.imag(a)):
+        raise DomainError("a matrix with a nonzero imaginary part needs the complex field, d=2")
+
+
 def _imag_free(a: np.ndarray):
     """Per matrix of a complex (..., q, q) array: is every imaginary part
     exactly zero?"""

@@ -159,6 +159,18 @@ def test_walk_simulate_shape_and_determinism():
         walk_simulate(complex_law, params, 2, substream(14, "walk", 3))
 
 
+def test_real_convolution_refuses_a_complex_argument():
+    params = StructureParams(q=2, d=1, mu=3.0)
+    r = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    for other in (np.eye(2), np.zeros((2, 2))):
+        for pair in ((r, other), (other, r)):
+            with pytest.raises(DomainError, match="d=2"):
+                convolve_sample(*pair, params, substream(14, "field", 0))
+    # a complex array with no imaginary part is a real argument
+    out = convolve_sample(np.eye(2) + 0j, np.eye(2), params, substream(14, "field", 1))
+    assert not np.iscomplexobj(out.array)
+
+
 def test_orbit_walk_matches_convolution_walk_in_law():
     # p x q partial sums with rotated frames reproduce the mu = p d / 2 walk
     p, q, d, steps = 6, 2, 1, 4
