@@ -29,14 +29,14 @@ print("free energy: empirical (mu = 2^16, n = 16, 4000 replicates) vs limit")
 print(f"{'t':>6} {'c_k(t)':>10} {'stderr':>9} {'c(t)':>10}")
 for t in (-2.0, -1.0, 1.0, 2.0):
     c_k, se = free_energy_empirical(law, params, 2.0**16, 16, t, 4000, master_seed=30)
-    c_lim = free_energy_limit(law, params, t)
+    c_lim = free_energy_limit(law, t)
     print(f"{t:6.1f} {c_k:10.5f} {se:9.1e} {c_lim:10.5f}")
 
 print()
 print("rate function vs s ln(2s) + (1-s) ln(2(1-s)):")
 print(f"{'s':>6} {'I(s)':>10} {'entropy':>10}")
 grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.2])
-for s, val in zip(grid, rate_function(law, params, grid)):
+for s, val in zip(grid, rate_function(law, grid)):
     if s > 1.0:
         print(f"{s:6.1f} {val!s:>10}   (outside the support)")
         continue

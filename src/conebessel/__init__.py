@@ -28,7 +28,6 @@ _EXPORTS = {
     "HermitianMatrix": "linalg",
     "ConeMatrix": "linalg",
     # Jack / zonal layer
-    "Partition": "jack",
     "partitions_of_weight": "jack",
     "gen_pochhammer": "jack",
     "layers": "jack",

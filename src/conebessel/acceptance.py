@@ -71,7 +71,7 @@ def q1_classical_identity():
     for mu in (2.0, 5.0, 10.0):
         params = StructureParams(q=1, d=1, mu=mu)
         for x in np.arange(0.0, 4.0 + 1e-12, 0.25):
-            v, _ = bessel_series(mu, np.asarray([[x * x / 4.0]]), params)
+            v, _ = bessel_series(np.asarray([[x * x / 4.0]]), params)
             w, _ = bessel_classical(mu - 1.0, float(x))
             worst = max(worst, abs(v - w))
     return worst <= 1e-9, f"max |series - classical| = {worst:.2e} (tol 1e-9)"
@@ -221,7 +221,7 @@ def kernel_gap_stability():
     for y in ys:
         ratios = []
         for mu in mus:
-            gap, env = theorem1_gap(mu, y, params.with_mu(mu))
+            gap, env = theorem1_gap(y, params.with_mu(mu))
             ratios.append(gap / env)
         base = ratios[0]
         spread = max(max(r / base for r in ratios), max(base / r for r in ratios))
@@ -264,8 +264,8 @@ def series_integral_cross():
     worst_z = 0.0
     for i in range(5):
         x = 0.6 * rng.standard_normal((2, 2))
-        series, tail = bessel_series(5.0, x.T @ x, params)
-        mc, se = bessel_integral_mc(5.0, x, params, 1_000_000, substream(106, "cross-mc", i))
+        series, tail = bessel_series(x.T @ x, params)
+        mc, se = bessel_integral_mc(x, params, 1_000_000, substream(106, "cross-mc", i))
         z = abs(series - mc) / se
         worst_z = max(worst_z, z)
     return worst_z <= 3.0, f"max |series - MC| = {worst_z:.2f} standard errors (limit 3)"
@@ -368,11 +368,11 @@ def free_energy_rate():
     )
     t = np.array([1.0, -1.0])
     ck, _ = free_energy_empirical(law, params, 2.0**20, 20, t, 10_000, master_seed=111)
-    worst_c = float(np.max(np.abs(ck - free_energy_limit(law, params, t))))
+    worst_c = float(np.max(np.abs(ck - free_energy_limit(law, t))))
     s = np.arange(0.1, 0.95, 0.1)
     exact = s * np.log(2.0 * s) + (1.0 - s) * np.log(2.0 * (1.0 - s))
-    worst_i = float(np.max(np.abs(rate_function(law, params, s) - exact)))
-    i_half = rate_function(law, params, 0.5)
+    worst_i = float(np.max(np.abs(rate_function(law, s) - exact)))
+    i_half = rate_function(law, 0.5)
     ok = worst_c <= 0.05 and worst_i <= 1e-3 and i_half <= 1e-6
     return ok, (
         f"|c_k - c| = {worst_c:.4f} (tol 0.05), rate err {worst_i:.1e} (tol 1e-3), "

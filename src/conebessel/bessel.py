@@ -160,21 +160,18 @@ def _certified_sum(terms, s: np.ndarray, tol: float, max_weight: int, name: str,
 
 
 def _series_from_eigs(
-    mu: float,
-    eigs: np.ndarray,
     params: StructureParams,
+    eigs: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_weight: int = DEFAULT_MAX_WEIGHT,
 ):
-    """Truncated Bessel series on a batch of eigenvalue vectors.
+    """Truncated Bessel series J_mu, mu = params.mu, on a batch of
+    eigenvalue vectors.
 
     eigs has shape (batch, q).  Returns (values of shape (batch,), one
     certified tail bound, taken at the batch's largest tr|x| / mu).
     """
-    if mu <= params.rho - 1.0:
-        raise DomainError(
-            f"series index mu={mu} must exceed rho - 1 = {params.rho - 1.0}"
-        )
+    mu = params.mu
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 2 or eigs.shape[1] != params.q:
         raise DimensionError(f"expected eigenvalue batch of shape (n, {params.q})")
@@ -195,13 +192,13 @@ def _series_from_eigs(
 
 
 def bessel_series(
-    mu: float,
     x,
     params: StructureParams,
     tol: float = DEFAULT_TOL,
     max_weight: int = DEFAULT_MAX_WEIGHT,
 ):
-    """J_mu at a Hermitian matrix argument, with certified truncation.
+    """J_mu, mu = params.mu, at a Hermitian matrix argument, with certified
+    truncation.
 
     Returns (value, tail_bound).  The argument may be any Hermitian matrix
     (points of the cone, negated cone points for the growing direction, or
@@ -211,7 +208,7 @@ def bessel_series(
     if a.shape != (params.q, params.q):
         raise DimensionError(f"argument must be {params.q} x {params.q}, got {a.shape}")
     eigs = HermitianMatrix(a).eigenvalues()
-    vals, tail = _series_from_eigs(mu, eigs[None, :], params, tol, max_weight)
+    vals, tail = _series_from_eigs(params, eigs[None, :], tol, max_weight)
     return float(vals[0]), tail
 
 
@@ -284,8 +281,9 @@ def kappa_mu(params: StructureParams) -> float:
     return math.exp(d * q * q / 2.0 * math.log(math.pi) + log_ratio)
 
 
-def bessel_integral_mc(mu: float, x, params: StructureParams, n_samples: int, rng):
-    """Monte Carlo estimate of J_mu(x* x) through its ball integral form.
+def bessel_integral_mc(x, params: StructureParams, n_samples: int, rng):
+    """Monte Carlo estimate of J_mu(x* x), mu = params.mu, through its ball
+    integral form.
 
     x is a q x q matrix over the field.  J_mu(x* x) is the mean of
     cos(2 Re <v, x>) under the ball density, and v is drawn exactly
@@ -295,23 +293,24 @@ def bessel_integral_mc(mu: float, x, params: StructureParams, n_samples: int, rn
     if a.shape != (params.q, params.q):
         raise DimensionError(f"argument must be {params.q} x {params.q}, got {a.shape}")
     _require_field(params, a)
-    ball = params.with_mu(mu)  # a DomainError unless mu > rho - 1
     conj_x = np.conj(a).ravel()
 
     def draw(m):
-        v = _ball_points(ball, *_ball_variates(ball, rng, m))
+        v = _ball_points(params, *_ball_variates(params, rng, m))
         return np.cos(2.0 * np.real(v.reshape(m, -1) @ conj_x))
 
     return _mc_mean_se(draw, n_samples, _BALL_CHUNK)
 
 
-def theorem1_gap(mu: float, y, params: StructureParams):
-    """Distance of J_mu(mu y) from its rank-independent limit e^{-tr y}.
+def theorem1_gap(y, params: StructureParams):
+    """Distance of J_mu(mu y), mu = params.mu, from its rank-independent
+    limit e^{-tr y}.
 
     Returns (gap, envelope) with envelope = min(1, (tr y)^2) / mu; the
     caller judges stability of gap/envelope across mu (no universal
     constant is hardcoded).  Requires mu > 2 rho.
     """
+    mu = params.mu
     if mu <= 2.0 * params.rho:
         raise DomainError(f"mu={mu} must exceed 2 rho = {2.0 * params.rho}")
     a = _as_array(y)
@@ -319,7 +318,7 @@ def theorem1_gap(mu: float, y, params: StructureParams):
     if np.min(eigs) < -1e-10 * (1.0 + float(np.max(np.abs(eigs)))):
         raise DomainError("y must be positive semidefinite")
     tr = float(eigs.sum())
-    vals, _ = _series_from_eigs(mu, mu * eigs[None, :], params, _GAP_TOL, _GAP_MAX_WEIGHT)
+    vals, _ = _series_from_eigs(params, mu * eigs[None, :], _GAP_TOL, _GAP_MAX_WEIGHT)
     gap = abs(float(vals[0]) - math.exp(-tr))
     envelope = min(1.0, tr * tr) / mu
     return gap, envelope

@@ -170,15 +170,18 @@ def load_config_file(path, command=None) -> RunConfig:
 
 def _parse_floats(value, what: str) -> tuple:
     """A comma list (blank entries skipped) or a JSON array as a tuple of
-    floats; anything that is not a number is a ConfigError."""
+    floats; anything that is not a finite number is a ConfigError."""
     if isinstance(value, (list, tuple)):
         items = value
     else:
         items = [p for p in str(value).split(",") if p.strip() != ""]
     try:
-        return tuple(float(v) for v in items)
+        floats = tuple(float(v) for v in items)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot parse {what} {value!r}: entries must be numbers") from exc
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{what} {value!r} has a non-finite entry")
+    return floats
 
 
 def parse_grid(text):
@@ -333,10 +336,10 @@ def _cmd_bessel(res: _Resolved):
     rows = []
     for i, x in enumerate(cfg.grid):
         arg = (x * x / 4.0) * np.eye(cfg.q)
-        val, tail = bessel_series(cfg.mu, arg, res.params, **_series_kwargs(cfg))
+        val, tail = bessel_series(arg, res.params, **_series_kwargs(cfg))
         half = (x / 2.0) * np.eye(cfg.q)
         mc, se = bessel_integral_mc(
-            cfg.mu, half, res.params, cfg.n_samples, substream(cfg.seed, "bessel", i)
+            half, res.params, n_samples=cfg.n_samples, rng=substream(cfg.seed, "bessel", i)
         )
         classical = ""
         if cfg.q == 1:
@@ -471,13 +474,13 @@ def _cmd_ldp(res: _Resolved):
     c_k, se = free_energy_empirical(
         res.law, res.params, mu_k, n_k, cfg.t_values, cfg.replicates, cfg.seed
     )
-    c_lim = free_energy_limit(res.law, res.params, cfg.t_values)
+    c_lim = free_energy_limit(res.law, cfg.t_values)
     rows = []
     warned = False
     for t, ck, err, cl in zip(cfg.t_values, c_k.tolist(), se.tolist(), c_lim.tolist()):
         warned = warned or err > 0.2 * max(abs(ck), 1e-12)
         rows += [f"c_k,{_g(t)},{_g(ck)},{_g(err)}", f"c_limit,{_g(t)},{_g(cl)},0"]
-    rates = rate_function(res.law, res.params, cfg.grid)
+    rates = rate_function(res.law, cfg.grid)
     rows += [f"rate,{_g(s)},{_g(val)},0" for s, val in zip(cfg.grid, rates)]
     res.write("kind,arg,value,stderr", rows)
     if warned:

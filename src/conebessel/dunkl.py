@@ -42,6 +42,8 @@ class ChamberPoint:
         x = np.asarray(self.xi, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise DimensionError("chamber point must be a nonempty vector")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("chamber coordinates must be finite")
         if np.any(x < -1e-14):
             raise DomainError("chamber coordinates must be nonnegative")
         if np.any(np.diff(x) > 1e-14):
@@ -91,7 +93,7 @@ def bessel_B_mc(
         arg = 0.25 * ev[None, :, None] * w * ev[None, None, :]
         arg = (arg + np.conj(np.swapaxes(arg, 1, 2))) / 2.0
         eigs = np.linalg.eigvalsh(arg)
-        return _series_from_eigs(params.mu, eigs, params, tol, max_weight)[0]
+        return _series_from_eigs(params, eigs, tol, max_weight)[0]
 
     return _mc_mean_se(draw, n_samples, 1 << 14)
 

@@ -52,8 +52,8 @@ class RadialLaw:
             raise DomainError("need at least one atom")
         if len(self.atoms) != w.size:
             raise DimensionError("weights and atoms must have equal length")
-        if np.any(w <= 0):
-            raise DomainError("atom weights must be positive")
+        if not np.all(w > 0):  # a nan weight fails here too
+            raise DomainError("atom weights must be positive numbers")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise DomainError(f"atom weights must sum to 1, got {w.sum()!r}")
         atoms = tuple(a if isinstance(a, ConeMatrix) else ConeMatrix(a) for a in self.atoms)

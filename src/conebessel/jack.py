@@ -44,7 +44,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "Partition",
     "partitions_of_weight",
     "gen_pochhammer",
     "layers",
@@ -53,43 +52,9 @@ __all__ = [
 ]
 
 
-class Partition(tuple):
-    """Non-increasing tuple of positive integers (weakly, trailing zeros dropped)."""
-
-    def __new__(cls, parts=()):
-        cleaned = []
-        prev = None
-        for p in parts:
-            ip = int(p)
-            if ip != p or ip < 0:
-                raise DomainError(f"partition parts must be nonnegative integers, got {p!r}")
-            if prev is not None and ip > prev:
-                raise DomainError(f"partition parts must be non-increasing, got {tuple(parts)}")
-            prev = ip
-            if ip > 0:
-                cleaned.append(ip)
-            # a zero part forces all later parts to be zero via the ordering check
-        return super().__new__(cls, cleaned)
-
-    @property
-    def weight(self) -> int:
-        return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    def conjugate(self) -> "Partition":
-        if not self:
-            return Partition()
-        return Partition(sum(1 for p in self if p > j) for j in range(self[0]))
-
-    def __repr__(self):
-        return f"Partition{tuple(self)}"
-
-
-def partitions_of_weight(weight: int, max_parts: int) -> list[Partition]:
-    """All partitions of the given weight into at most max_parts parts.
+def partitions_of_weight(weight: int, max_parts: int) -> list[tuple]:
+    """All partitions of the given weight into at most max_parts parts, as
+    non-increasing tuples of positive integers.
 
     Returned in reverse lexicographic order, e.g. weight 3, max_parts 2
     gives [(3,), (2, 1)].  That order refines dominance order, which the
@@ -98,11 +63,11 @@ def partitions_of_weight(weight: int, max_parts: int) -> list[Partition]:
     if weight < 0 or max_parts < 0:
         raise DomainError("weight and max_parts must be nonnegative")
 
-    out: list[Partition] = []
+    out: list[tuple] = []
 
     def rec(prefix, remaining, max_part, slots):
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(tuple(prefix))
             return
         if slots == 0:
             return
@@ -129,21 +94,10 @@ def gen_pochhammer(mu: float, lam, alpha: float) -> float:
     return total
 
 
-def _dominated(mu, lam) -> bool:
-    """True when mu <= lam in dominance order (same weight assumed)."""
-    acc_l = acc_m = 0
-    for i in range(max(len(mu), len(lam))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_m > acc_l:
-            return False
-    return True
-
-
-def _hook_norm(lam: Partition, alpha: Fraction) -> Fraction:
+def _hook_norm(lam: tuple, alpha: Fraction) -> Fraction:
     """C-normalization constant alpha^k k! / prod(alpha (arm+1) + leg)."""
-    k = lam.weight
-    conj = lam.conjugate()
+    k = sum(lam)
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0])]
     denom = Fraction(1)
     for i, part in enumerate(lam):
         for j in range(part):
@@ -203,7 +157,7 @@ class _JackTable:
                         cand = mlist.copy()
                         cand[i] += t
                         cand[j] -= t
-                        nu = Partition(sorted(cand, reverse=True))
+                        nu = tuple(p for p in sorted(cand, reverse=True) if p)
                         lst.append((index[nu], mlist[i] - mlist[j] + 2 * t))
             moves.append(lst)
 
@@ -211,13 +165,13 @@ class _JackTable:
         for li, lam in enumerate(parts):
             row = {li: Fraction(1)}
             for mi in range(li + 1, n):
-                if not _dominated(parts[mi], lam):
-                    continue
                 total = Fraction(0)
                 for ci, factor in moves[mi]:
                     c = row.get(ci)
                     if c is not None:
                         total += factor * c
+                # a mu not below lam in dominance order raises only to
+                # partitions that are not either, none of them in the row
                 if total:
                     row[mi] = two_over_alpha * total / (rho[li] - rho[mi])
             scale = _hook_norm(lam, alpha)
@@ -226,7 +180,7 @@ class _JackTable:
 
         expo = []
         for mu in parts:
-            padded = tuple(mu) + (0,) * (self.q - len(mu))
+            padded = mu + (0,) * (self.q - len(mu))
             perms = sorted(set(itertools.permutations(padded)))
             expo.append(np.asarray(perms, dtype=np.intp))
         # C_lambda(1, ..., 1), by the arithmetic layers does at one point

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UnsupportedRankError
+from .errors import DomainError, UnsupportedRankError
 # walk_simulate is a perfbench span target
 from .hypergroup import RadialLaw, _picks, _walk_draws, _walk_steps, walk_batch, walk_simulate  # noqa: F401
 from .linalg import ConeMatrix, StructureParams, _real_if_exact, psd_sqrt
@@ -292,11 +292,6 @@ def slln_experiment(
     return ExperimentReport(rows=tuple(rows), diagnostics=diags)
 
 
-def _require_rank_one(params: StructureParams, what: str):
-    if params.q != 1:
-        raise UnsupportedRankError(f"{what} is defined for q = 1 only")
-
-
 def _tilt(nu: RadialLaw, t):
     """The tilted laws of the rank-one large deviations at a scalar or an
     array of t: the atom squares x (m,), the tilted weights
@@ -304,7 +299,7 @@ def _tilt(nu: RadialLaw, t):
     c(t) = ln sum_i w_i e^{t x_i} (t's shape), shifted by the largest
     exponent.  c'(t) is the mean of x under p(t) and c''(t) its variance."""
     if nu.q != 1:
-        raise DimensionError("law rank does not match params")
+        raise UnsupportedRankError("the large deviations are defined for q = 1 only")
     with np.errstate(over="ignore"):
         x = np.array([np.real(a.array[0, 0]) ** 2 for a in nu.atoms])
     if not np.all(np.isfinite(x)):
@@ -335,7 +330,8 @@ def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: 
     do not depend on the stack, so each t gets the value of a call with t
     alone.  c_k(0) = 0 needs no walks.
     """
-    _require_rank_one(params, "the free energy")
+    if params.q != 1:
+        raise UnsupportedRankError("the free energy is defined for q = 1 only")
     if n < 1 or replicates < 2:
         raise DomainError("need n >= 1 and replicates >= 2")
     pk = params.with_mu(mu)
@@ -366,15 +362,14 @@ def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: 
     return (c_k, se) if t.ndim else (float(c_k), float(se))
 
 
-def free_energy_limit(nu: RadialLaw, params: StructureParams, t):
+def free_energy_limit(nu: RadialLaw, t):
     """Limiting free energy c(t) = ln of the atomic mean of exp(t s^2), at a
     scalar or an array of t, in t's shape."""
-    _require_rank_one(params, "the free energy")
     c = _tilt(nu, np.asarray(t, dtype=float))[2]
     return c if c.ndim else float(c)
 
 
-def rate_function(nu: RadialLaw, params: StructureParams, s):
+def rate_function(nu: RadialLaw, s):
     """Legendre transform I(s) = sup_t (s t - c(t)) at a scalar or an
     array of s, in s's shape.
 
@@ -385,16 +380,16 @@ def rate_function(nu: RadialLaw, params: StructureParams, s):
     over (c' - min x)(max x - c'), inside a bracket that each step shrinks
     (bisecting where a step would leave it), in units of the spread of the
     squares, so the atoms' scale does not change the steps.  At an end of
-    the range I is -ln of the weight there; outside it I is inf.  Where the
+    the range I is -ln of the weight there; outside it I is inf, and at a
+    nan s it is nan.  Where the
     supremum lies at a t beyond the float range (atom squares closer than
     about 1e-306 of their spread), I is nan.
     """
-    _require_rank_one(params, "the rate function")
     x, w, _ = _tilt(nu, 0.0)
     s = np.asarray(s, dtype=float)
     lo, hi = x.min(), x.max()
     w_lo, w_hi = w[x == lo].sum(), w[x == hi].sum()
-    rate = np.full(s.shape, math.inf)
+    rate = np.where(np.isnan(s), math.nan, math.inf)
     # + 0.0: a weight of 1 gives 0, not -0
     rate[s == lo] = -math.log(w_lo) + 0.0
     rate[s == hi] = -math.log(w_hi) + 0.0

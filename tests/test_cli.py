@@ -267,6 +267,27 @@ def test_malformed_list_value_exits_two(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "--q", "1", "--mu", "4", "--atoms", "1;2", "--weights", "nan,1"],
+        ["walk", "--mu", "6", "--atoms", "inf"],
+        ["dunkl", "--q", "2", "--xi", "nan,1"],
+        ["dunkl", "--q", "2", "--eta", "1,nan"],
+        ["ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--grid", "nan"],
+        ["ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--grid", "0.5,inf"],
+        ["ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--t-values", "nan"],
+        ["bessel", "--mu", "3", "--grid", "0:inf:1"],
+    ],
+)
+def test_non_finite_list_entry_exits_two(tmp_path, capsys, argv):
+    # a nan weight walked on one atom, a nan grid entry wrote rate,nan,inf
+    # and a nan xi read as a convergence failure (exit 3)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert "has a non-finite entry" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("field", ["grid", "weights", "t_values", "atoms"])
 def test_malformed_config_list_exits_two(tmp_path, capsys, field):
     p = tmp_path / "c.json"

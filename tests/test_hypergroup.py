@@ -30,6 +30,9 @@ def test_radial_law_validation():
         RadialLaw(weights=(0.5, 0.6), atoms=(np.eye(1), 2 * np.eye(1)))
     with pytest.raises(DomainError):
         RadialLaw(weights=(-0.5, 1.5), atoms=(np.eye(1), 2 * np.eye(1)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            RadialLaw(weights=(bad, 1.0), atoms=(np.eye(1), 2 * np.eye(1)))
     with pytest.raises(DimensionError):
         RadialLaw(weights=(1.0,), atoms=(np.eye(1), np.eye(1)))
     with pytest.raises(DimensionError):

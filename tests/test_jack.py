@@ -19,7 +19,6 @@ from scipy import special
 
 from conebessel.errors import DomainError
 from conebessel.jack import (
-    Partition,
     _get_table,
     gen_pochhammer,
     layer_values,
@@ -122,7 +121,7 @@ FROZEN_C = {
 def _jack_C(lam, alpha):
     """C_lambda^alpha at POINT: its row of the weight-|lambda| layer."""
     parts, vals = layer_values(alpha, POINT.size, sum(lam), POINT[None, :])
-    return float(vals[parts.index(Partition(lam)), 0])
+    return float(vals[parts.index(tuple(lam)), 0])
 
 
 @pytest.mark.parametrize("alpha", sorted(FROZEN_C))
@@ -247,24 +246,6 @@ def test_partitions_revlex_refines_dominance():
         for mu in parts[i + 1 :]:
             # anything strictly after lam is never strictly above it
             assert not (dominated(lam, mu) and lam != mu)
-
-
-def test_partition_validation():
-    with pytest.raises(DomainError):
-        Partition((1, 2))
-    with pytest.raises(DomainError):
-        Partition((2, -1))
-    with pytest.raises(DomainError):
-        Partition((2.5,))
-    assert tuple(Partition((3, 2, 0, 0))) == (3, 2)
-    assert Partition((3, 2)).weight == 5
-    assert Partition((3, 2)).length == 2
-
-
-def test_partition_conjugate():
-    assert tuple(Partition((4, 2, 1)).conjugate()) == (3, 2, 1, 1)
-    for lam in partitions_of_weight(6, 6):
-        assert lam.conjugate().conjugate() == lam
 
 
 # ------------------------------------------------------------- pochhammer

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conebessel.errors import DimensionError, DomainError, UnsupportedRankError
+from conebessel.errors import DomainError, UnsupportedRankError
 from conebessel.hypergroup import RadialLaw, _picks, walk_batch
 from conebessel.limits import (
     ExperimentReport,
@@ -236,17 +236,17 @@ def test_free_energy_tilt_grid_is_its_scalar_calls():
     assert grid[0].tolist() == [c for c, _ in scalar]
     assert grid[1].tolist() == [se for _, se in scalar]
     assert scalar[1] == (0.0, 0.0)
-    limits = free_energy_limit(law, P1, [-1.0, 0.0, 1.0])
-    assert limits.tolist() == [free_energy_limit(law, P1, t) for t in (-1.0, 0.0, 1.0)]
+    limits = free_energy_limit(law, [-1.0, 0.0, 1.0])
+    assert limits.tolist() == [free_energy_limit(law, t) for t in (-1.0, 0.0, 1.0)]
 
 
 def test_free_energy_limit_bernoulli_closed_form():
     law = _bernoulli_law()
     for t in (-3.0, -0.5, 0.0, 1.0, 4.0):
         want = math.log((1.0 + math.exp(t)) / 2.0)
-        assert free_energy_limit(law, P1, t) == pytest.approx(want, rel=1e-12)
+        assert free_energy_limit(law, t) == pytest.approx(want, rel=1e-12)
     # the shifted log-sum-exp must survive huge tilts
-    big = free_energy_limit(law, P1, 800.0)
+    big = free_energy_limit(law, 800.0)
     assert big == pytest.approx(800.0 + math.log(0.5), rel=1e-12)
 
 
@@ -254,11 +254,9 @@ def test_rate_function_bernoulli_entropy():
     law = _bernoulli_law()
     for s in (0.25, 0.5, 0.75):
         want = s * math.log(2.0 * s) + (1.0 - s) * math.log(2.0 * (1.0 - s))
-        assert rate_function(law, P1, s) == pytest.approx(want, abs=1e-15)
-    assert rate_function(law, P1, 0.5) == 0.0  # t = 0 exactly
-    assert rate_function(law, P1, 1.5) == math.inf
-    with pytest.raises(UnsupportedRankError):
-        rate_function(law, StructureParams(q=2, d=1, mu=4.0), 0.5)
+        assert rate_function(law, s) == pytest.approx(want, abs=1e-15)
+    assert rate_function(law, 0.5) == 0.0  # t = 0 exactly
+    assert rate_function(law, 1.5) == math.inf
 
 
 def _rank_one_law(weights, atoms):
@@ -272,7 +270,7 @@ def test_rate_function_two_atom_entropy_at_any_scale(scale):
     law = _rank_one_law((0.5, 0.5), (0.0, scale))
     s = np.linspace(0.05, 0.95, 19)
     want = s * np.log(2.0 * s) + (1.0 - s) * np.log(2.0 * (1.0 - s))
-    got = rate_function(law, P1, s * scale**2)
+    got = rate_function(law, s * scale**2)
     assert got.shape == s.shape
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
@@ -294,20 +292,28 @@ def test_rate_function_three_atoms_matches_the_kl_dual():
         end = min((s - x0) / (x1 - x0), (x2 - s) / (x2 - x1))
         best = minimize_scalar(kl, bounds=(0.0, end), method="bounded",
                                options={"xatol": 1e-12})
-        assert rate_function(law, P1, s) == pytest.approx(best.fun, abs=1e-10)
+        assert rate_function(law, s) == pytest.approx(best.fun, abs=1e-10)
 
 
 def test_rate_function_endpoints_and_outside_the_support():
     # an end of the support is reached only by walks that always pick its
     # atom: I = -ln of that atom's weight; beyond the support I = inf
     law = _rank_one_law((0.2, 0.5, 0.3), (0.0, 0.6, 1.3))
-    got = rate_function(law, P1, [[0.0, 1.69], [-0.1, 1.7]])
+    got = rate_function(law, [[0.0, 1.69], [-0.1, 1.7]])
     assert got.shape == (2, 2)
     assert got[0, 0] == pytest.approx(-math.log(0.2), rel=1e-15)
     assert got[0, 1] == pytest.approx(-math.log(0.3), rel=1e-15)
     assert np.all(got[1] == math.inf)
-    assert isinstance(rate_function(law, P1, 0.0), float)
-    assert rate_function(_rank_one_law((1.0,), (0.7,)), P1, 0.7**2) == 0.0
+    assert isinstance(rate_function(law, 0.0), float)
+    assert rate_function(_rank_one_law((1.0,), (0.7,)), 0.7**2) == 0.0
+
+
+def test_rate_function_is_nan_at_a_nan_argument():
+    # a nan s lies neither at an end of the support nor outside it
+    law = _bernoulli_law()
+    got = rate_function(law, [math.nan, 0.5, 2.0])
+    assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == math.inf
+    assert math.isnan(rate_function(law, math.nan))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -316,7 +322,7 @@ def test_rate_function_next_to_an_end_of_the_support():
     # bracket bound -1 / (w_0 s) overflows a float, yet the supremum sits at
     # a finite t near -3.7e152 and I(s) is -ln w_0 to far below 1e-12
     law = _rank_one_law((0.25, 0.25, 0.5), (0.0, 1e-75, 1.0))
-    got = rate_function(law, P1, [1e-310, 5e-324])
+    got = rate_function(law, [1e-310, 5e-324])
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, -math.log(0.25), rtol=0.0, atol=1e-12)
 
@@ -330,19 +336,19 @@ def test_rate_function_is_nan_where_the_supremum_is_beyond_the_float_range():
     # the squares are spread
     for a in (3.85e-162, 6.3e-162, 1e-161):
         law = _rank_one_law((0.25, 0.25, 0.5), (0.0, a, 1.0))
-        got = rate_function(law, P1, [5e-324, 0.25])
+        got = rate_function(law, [5e-324, 0.25])
         assert math.isnan(got[0]), a
         assert math.isfinite(got[1])
 
 
 def test_large_deviations_need_a_rank_one_law():
-    # q = 1 params with a rank-2 law would read each atom's [0, 0] entry
+    # a rank-2 law would read each atom's [0, 0] entry, with q = 1 params too
     law = RadialLaw(weights=(0.5, 0.5), atoms=(np.diag([0.0, 5.0]), np.eye(2)))
-    with pytest.raises(DimensionError):
-        free_energy_limit(law, P1, 1.0)
-    with pytest.raises(DimensionError):
-        rate_function(law, P1, 0.5)
-    with pytest.raises(DimensionError):
+    with pytest.raises(UnsupportedRankError):
+        free_energy_limit(law, 1.0)
+    with pytest.raises(UnsupportedRankError):
+        rate_function(law, 0.5)
+    with pytest.raises(UnsupportedRankError):
         free_energy_empirical(law, P1, 64.0, 4, 1.0, 10, 0)
 
 
@@ -378,7 +384,7 @@ def test_free_energy_stderr_covers_at_a_large_index():
     misses = 0
     for t in (-1.0, 1.0):
         runs = _free_energy_runs(2.0**20, t, range(100))
-        c = free_energy_limit(_bernoulli_law(), P1, t)
+        c = free_energy_limit(_bernoulli_law(), t)
         misses += int(np.sum(np.abs(runs[:, 0] - c) > 3.0 * runs[:, 1]))
     assert misses <= 4
 

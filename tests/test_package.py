@@ -32,12 +32,18 @@ def test_every_export_resolves_lazily():
             assert conebessel.__getattr__(name) is getattr(conebessel, name)
 
 
-def test_benchmark_span_targets_resolve():
-    # perfbench/spans.py wraps these (module, attribute path) names; a rename
-    # in the package would otherwise only surface when a traced run fails
+def _spans():
+    # perfbench/spans.py, loaded read-only
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps these (module, attribute path) names; a rename
+    # in the package would otherwise only surface when a traced run fails
+    spans = _spans()
     assert spans.TARGETS
     for _, sites, _ in spans.TARGETS:
         for module, path in sites:
@@ -47,6 +53,31 @@ def test_benchmark_span_targets_resolve():
                 owner = getattr(owner, part)
             found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
             assert callable(found), f"{module}.{path} does not resolve"
+
+
+@pytest.mark.parametrize(
+    "argv, amounts",
+    [
+        (["bessel", "--q", "2", "--mu", "3", "--grid", "0.5,1", "--n-samples", "100"],
+         {"bessel.integral_mc.samples": 200, "bessel.series.points": 2}),
+        (["dunkl", "--q", "2", "--grid", "8", "--n-samples", "10"],
+         {"bessel.series.points": 10, "linalg.haar_batch.samples": 10}),
+    ],
+)
+def test_benchmark_span_amounts_read_the_calls_arguments(tmp_path, argv, amounts):
+    # the recorder reads each amount at a fixed position or keyword of the
+    # wrapped call; a signature that moves it would misreport the work done
+    spans = _spans()
+    recorder = spans.Recorder()
+    recorder.op = 0
+    recorder.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        recorder.uninstall()
+    metrics = spans.layer_metrics(recorder, 1, 0.0, 0.0)
+    assert {name: metrics[name] for name in amounts} == amounts
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ def _phi(params: StructureParams, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     """J_mu(1/4 r y^2 r) for a stack r (m, q, q), from the series."""
     m = 0.25 * r @ y @ y @ r
     eigs = np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2.0)
-    return _series_from_eigs(params.mu, eigs, params, _TOL, _MAX_WEIGHT)[0]
+    return _series_from_eigs(params, eigs, _TOL, _MAX_WEIGHT)[0]
 
 
 def _psd(rng, q: int, d: int) -> np.ndarray:
