@@ -35,9 +35,9 @@ for row in report.rows:
 print()
 print("strong law: one path along a pow2 index schedule, n_k = k steps")
 strong = slln_experiment(law, params, Schedule(mu_family="pow2"), 14, master_seed=21)
-for diag in strong.diagnostics:
-    print(f"  schedule condition {diag.name}: {diag.verdict}")
+for name, verdict in strong.diagnostics:
+    print(f"  schedule condition {name}: {verdict}")
 sup = {r.k: r.value for r in strong.rows if r.statistic == "tail_sup"}
 for k in (1, 4, 8, 12, 14):
     print(f"  k = {k:2d}   sup of deviations from k on = {sup[k]:.4f}")
-print("(finite-k diagnostics; the limit itself is not observable)")
+print("(exact schedule conditions; the limit itself is not observable)")

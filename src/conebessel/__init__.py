@@ -53,7 +53,6 @@ _EXPORTS = {
     "substream": "seeds",
     # limit-theorem experiments
     "Schedule": "limits",
-    "ConditionDiagnostic": "limits",
     "schedule_conditions": "limits",
     "ReportRow": "limits",
     "ExperimentReport": "limits",

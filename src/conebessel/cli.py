@@ -454,13 +454,14 @@ def _cmd_lln(res: _Resolved):
 
 
 def _cmd_slln(res: _Resolved):
-    """One strong-law path per seeded replicate plus schedule diagnostics."""
+    """One strong-law path per seeded replicate plus the schedule's
+    condition verdicts."""
     from .limits import REPORT_COLUMNS, slln_experiment
 
     cfg = res.cfg
     report = slln_experiment(res.law, res.params, res.schedule, cfg.k_max, cfg.seed)
-    for diag in report.diagnostics:
-        print(f"schedule condition {diag.name}: {diag.verdict}")
+    for name, verdict in report.diagnostics:
+        print(f"schedule condition {name}: {verdict}")
     res.write(REPORT_COLUMNS, report.csv_rows())
 
 

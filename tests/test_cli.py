@@ -307,6 +307,12 @@ def test_malformed_config_list_exits_two(tmp_path, capsys, field):
         (["bessel", "--mu", "3", "--grid", "0.5", "--max-weight", "-1"],
          "max_weight must be int in [0, "),
         (["dunkl", "--max-weight", "-1"], "max_weight must be int in [0, "),
+        # -inf passed the scalar parser and failed later, in slln as "n_2 exceeds 1e15"
+        (["slln", "--n-family", "polylog", "--n-b=-inf"], "exponents must be finite"),
+        (["lln", "--mu-family", "poly", "--mu-b=-inf", "--grid", "2"], "exponents must be finite"),
+        (["ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--n-b=-inf"], "exponents must be finite"),
+        # mu_k = k^4 loses against k^5: condition (1) fails
+        (["slln", "--mu-family", "poly", "--mu-b", "4", "--k-max", "3"], "index_beats_all_powers"),
     ],
 )
 def test_out_of_range_value_exits_two(tmp_path, capsys, argv, message):
@@ -536,8 +542,20 @@ def test_slln_command_prints_diagnostics(tmp_path, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.count("diverging") == 3
+    assert out.splitlines()[:3] == [
+        "schedule condition index_beats_all_powers: diverging",
+        "schedule condition index_beats_steps_squared: diverging",
+        "schedule condition steps_beat_log_squared: diverging",
+    ]
     assert (tmp_path / "slln.csv").exists()
+
+
+def test_slln_command_runs_a_polylog_step_schedule(tmp_path, capsys):
+    # n_k / (ln k)^2 = ln k diverges, however slowly
+    argv = ["slln", "--mu-family", "pow2", "--n-family", "polylog", "--n-b", "3",
+            "--k-max", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count(": diverging\n") == 3
 
 
 def test_ldp_command_values(tmp_path):

@@ -145,6 +145,18 @@ def test_layer_sums_to_trace_power():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_layer_weighted_by_rho_is_the_second_trace_term(q, d):
+    # at alpha = 2/d the weight-k layer weighted by
+    # rho(lambda) = sum_i lambda_i (lambda_i - 1 - d (i - 1)) sums to
+    # k (k - 1) tr(y^2) (tr y)^(k - 2): one check of every coefficient
+    y = np.random.default_rng(11).uniform(0.1, 1.5, (6, q))
+    for k, (parts, vals) in zip(range(1, 13), layers(2.0 / d, q, y)):
+        rho = np.array([sum(l * (l - 1 - d * i) for i, l in enumerate(lam)) for lam in parts])
+        rhs = k * (k - 1) * (y**2).sum(axis=1) * y.sum(axis=1) ** (k - 2)
+        assert np.all(np.abs(rho @ vals - rhs) <= 1e-12 * np.abs(rhs)), k
+
+
 def test_layer_values_shapes():
     parts, vals = layer_values(1.0, 2, 3, np.ones((5, 2)))
     assert [tuple(p) for p in parts] == [(3,), (2, 1)]

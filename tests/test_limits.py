@@ -1,4 +1,4 @@
-"""Schedules, their divergence diagnostics, and the three experiments.
+"""Schedules, their exact divergence conditions, and the three experiments.
 
 Rank-one large-deviation quantities have closed forms for two-atom step
 laws (Bernoulli free energy ln((w0 + w1 e^t)) and the entropy rate
@@ -14,7 +14,6 @@ from conebessel.errors import DomainError, UnsupportedRankError
 from conebessel.hypergroup import RadialLaw, _picks, walk_batch
 from conebessel.limits import (
     ExperimentReport,
-    HEURISTIC_NOTE,
     REPORT_COLUMNS,
     ReportRow,
     Schedule,
@@ -48,7 +47,6 @@ P1 = StructureParams(q=1, d=1, mu=2.0)
 def test_schedule_families_exact_values():
     s = Schedule(mu_family="pow2", mu_c=1.0)
     assert s.mu(10) == 1024.0
-    assert s.log_mu(10) == pytest.approx(10 * math.log(2.0))
     s = Schedule(mu_family="poly", mu_c=2.0, mu_b=1.5)
     assert s.mu(4) == pytest.approx(16.0)
     s = Schedule(n_family="poly", n_c=1.5, n_b=1.0)
@@ -83,24 +81,57 @@ def test_schedule_guards():
         Schedule(mu_family="poly", mu_b=400.0).mu(10**4)
 
 
+@pytest.mark.parametrize("field", ["mu_c", "mu_b", "n_c", "n_b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_schedule_refuses_non_finite_constants(field, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        Schedule(mu_family="poly", n_family="polylog", **{field: value})
+
+
+_CONDITIONS = ("index_beats_all_powers", "index_beats_steps_squared", "steps_beat_log_squared")
+
+
+def _verdicts(schedule):
+    diags = schedule_conditions(schedule)
+    assert tuple(name for name, _ in diags) == _CONDITIONS
+    return [verdict == "diverging" for _, verdict in diags]
+
+
 def test_schedule_conditions_verdicts():
     fast = Schedule(mu_family="pow2", n_family="poly", n_c=1.0, n_b=1.0)
-    diags = schedule_conditions(fast, 100_000)
-    assert [d.name for d in diags] == [
-        "index_beats_all_powers",
-        "index_beats_steps_squared",
-        "steps_beat_log_squared",
-    ]
-    assert all(d.verdict == "diverging" for d in diags)
-    assert all(d.note == HEURISTIC_NOTE for d in diags)
+    assert _verdicts(fast) == [True, True, True]
 
     # mu_k = k loses against k^2 and k^3
     slow = Schedule(mu_family="poly", mu_c=1.0, mu_b=1.0)
-    diags = schedule_conditions(slow, 100_000)
-    assert diags[0].verdict == "not diverging"
+    assert _verdicts(slow)[0] is False
 
-    with pytest.raises(DomainError):
-        schedule_conditions(fast, 9)
+
+def test_schedule_conditions_read_the_exponents_exactly():
+    # n_k / (ln k)^2 = n_c ln k diverges, however slowly
+    assert _verdicts(Schedule(mu_family="pow2", n_family="polylog", n_b=3.0)) == [True, True, True]
+    assert _verdicts(Schedule(mu_family="pow2", n_family="poly", n_b=0.3)) == [True, True, True]
+    # k^4 / k^a -> 0 for every a > 4: condition (1) fails for any poly index
+    for mu_b in (4.0, 40.0):
+        assert _verdicts(Schedule(mu_family="poly", mu_b=mu_b)) == [False, True, True]
+    # (3) at its polylog boundary n_b = 2, where n_k / (ln k)^2 -> n_c
+    assert _verdicts(Schedule(n_family="polylog", n_b=2.0))[2] is False
+    assert _verdicts(Schedule(n_family="polylog", n_b=2.1))[2] is True
+    assert _verdicts(Schedule(n_family="poly", n_b=0.0))[2] is False
+    # (2) at mu_b = 2 n_b, where the ratio is 1 / (n_c^2 (ln k)^2) -> 0
+    assert _verdicts(Schedule(mu_family="poly", mu_b=3.0, n_b=1.5))[1] is False
+    assert _verdicts(Schedule(mu_family="poly", mu_b=3.1, n_b=1.5))[1] is True
+    # a bounded n_k leaves only mu_k / (ln k)^2, which needs mu_b > 0
+    assert _verdicts(Schedule(mu_family="poly", mu_b=0.5, n_b=-1.0))[1] is True
+    assert _verdicts(Schedule(mu_family="poly", mu_b=0.0, n_family="polylog"))[1] is False
+    assert _verdicts(Schedule(mu_family="poly", mu_b=0.5, n_family="polylog", n_b=5.0))[1] is True
+
+
+def test_slln_accepts_a_polylog_schedule_and_refuses_every_poly_index():
+    law = _bernoulli_law()
+    rep = slln_experiment(law, P1, Schedule(n_family="polylog", n_b=3.0), k_max=3, master_seed=1)
+    assert [verdict for _, verdict in rep.diagnostics] == ["diverging"] * 3
+    with pytest.raises(DomainError, match="index_beats_all_powers"):
+        slln_experiment(law, P1, Schedule(mu_family="poly", mu_b=4.0), k_max=3, master_seed=1)
 
 
 # ---------------------------------------------------------------- reporting
@@ -167,7 +198,7 @@ def test_slln_requires_diverging_schedule():
 
 def test_slln_tail_sup_is_reverse_running_max():
     law = _bernoulli_law()
-    # n_k = k diverges against (ln k)^2 but registers only at a long horizon
+    # pow2 mu and n_k = k meet all three conditions
     sched = Schedule(mu_family="pow2", n_family="poly", n_c=1.0, n_b=1.0)
     rep = slln_experiment(law, P1, sched, k_max=6, master_seed=2)
     dev = {r.k: r.value for r in rep.rows if r.statistic == "deviation"}

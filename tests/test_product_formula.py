@@ -61,3 +61,23 @@ def test_walk_mean_of_a_character_is_its_atomic_mean_to_the_n(q, d, mu, n):
         vals = _phi(params, y, states)
         z = (vals.mean() - want) / (vals.std(ddof=1) / math.sqrt(_WALKS))
         assert abs(z) <= 4.0, (y, want, vals.mean(), z)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rank_one_walk_fourth_moment_is_exact(d):
+    # the second-order term of the product formula at q = 1:
+    # E S_n^4 = n E X^4 + n (n - 1) m^2 (mu + 1) / mu with m = E X^2, whose
+    # (mu + 1) / mu is the ball's spread that the strong law's
+    # mu_k / n_k^2 condition controls
+    mu, n, walks = 3.0, 6, 10_000
+    weights, x = np.array([0.3, 0.7]), np.array([0.5, 1.5])
+    law = RadialLaw(weights=tuple(weights), atoms=tuple(np.reshape(x, (2, 1, 1))))
+    m = float(weights @ x**2)
+    want = n * float(weights @ x**4) + n * (n - 1) * m**2 * (mu + 1.0) / mu
+    assert want == pytest.approx(130.275, rel=1e-14)
+    rng = substream(113, f"fourth:d={d}:mu={mu:.17g}:n={n}")
+    for states in walk_batch(law, StructureParams(1, d, mu), n, [rng] * walks):
+        pass
+    s4 = np.real(states[:, 0, 0]) ** 4
+    z = (s4.mean() - want) / (s4.std(ddof=1) / math.sqrt(walks))
+    assert abs(z) <= 4.0, (s4.mean(), want, z)
