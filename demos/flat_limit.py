@@ -14,7 +14,7 @@ from conebessel import (
     bessel_B_mc,
     harish_chandra_exact,
     hyper_0F0,
-    substream,
+    substreams,
 )
 
 xi = ChamberPoint((1.0, 0.5))
@@ -29,12 +29,10 @@ print(f"flat limit by alternating sum: {limit_exact:.10f}")
 print()
 
 print(f"{'mu':>6} {'B value':>12} {'stderr':>9} {'|gap|':>10} {'mu * gap':>9}")
-for i, mu in enumerate((32.0, 64.0, 128.0, 256.0)):
+mus = (32.0, 64.0, 128.0, 256.0)
+for mu, rng in zip(mus, substreams(77, "flat-limit", range(len(mus)))):
     params = StructureParams(q=2, d=2, mu=mu)
-    val, se = bessel_B_mc(
-        xi.scaled(2.0 * math.sqrt(mu)), eta, params, 20_000,
-        substream(77, "flat-limit", i),
-    )
+    val, se = bessel_B_mc(xi.scaled(2.0 * math.sqrt(mu)), eta, params, 20_000, rng)
     gap = abs(val - limit_exact)
     print(f"{mu:6.0f} {val:12.7f} {se:9.1e} {gap:10.3e} {mu * gap:9.4f}")
 

@@ -51,6 +51,7 @@ _EXPORTS = {
     "exp_conjugation_mc": "dunkl",
     # seed discipline
     "substream": "seeds",
+    "substreams": "seeds",
     # limit-theorem experiments
     "Schedule": "limits",
     "schedule_conditions": "limits",

@@ -47,7 +47,7 @@ from .limits import (
     slln_experiment,
 )
 from .linalg import ConeMatrix, StructureParams
-from .seeds import substream
+from .seeds import substream, substreams
 
 
 @dataclass(frozen=True)
@@ -262,10 +262,10 @@ def series_integral_cross():
     params = StructureParams(q=2, d=1, mu=5.0)
     rng = substream(106, "cross-args")
     worst_z = 0.0
-    for i in range(5):
+    for mc_rng in substreams(106, "cross-mc", range(5)):
         x = 0.6 * rng.standard_normal((2, 2))
         series, tail = bessel_series(x.T @ x, params)
-        mc, se = bessel_integral_mc(x, params, 1_000_000, substream(106, "cross-mc", i))
+        mc, se = bessel_integral_mc(x, params, 1_000_000, mc_rng)
         z = abs(series - mc) / se
         worst_z = max(worst_z, z)
     return worst_z <= 3.0, f"max |series - MC| = {worst_z:.2f} standard errors (limit 3)"
@@ -316,10 +316,10 @@ def conjugation_average_triangle():
     ]
     worst_det = 0.0
     worst_z = 0.0
-    for i, (x2, e2) in enumerate(pairs):
+    for (x2, e2), rng in zip(pairs, substreams(108, "triangle", range(len(pairs)))):
         hc = harish_chandra_exact(x2, e2)
         ser, _ = hyper_0F0(1.0, [-a for a in x2], e2, tol=1e-10, max_weight=60)
-        mc, se = exp_conjugation_mc(x2, e2, 2, 200_000, substream(108, "triangle", i))
+        mc, se = exp_conjugation_mc(x2, e2, 2, 200_000, rng)
         worst_det = max(worst_det, abs(hc - ser))
         worst_z = max(worst_z, abs(mc - hc) / se, abs(mc - ser) / se)
     ok = worst_det <= 1e-6 and worst_z <= 3.0
@@ -396,13 +396,10 @@ def chamber_limit_stability():
             m = min(1.0, float(np.linalg.norm(x2) * np.linalg.norm(e2)) ** 2)
             a_val, _ = hyper_0F0(2.0 / d, -x2, e2, tol=1e-10, max_weight=60)
             gs, sigmas = [], []
-            for i, mu in enumerate((64.0, 128.0, 256.0)):
+            rngs = substreams(112, f"chamber:d={d}:pair={j}", range(3))
+            for mu, rng in zip((64.0, 128.0, 256.0), rngs):
                 b_val, se = bessel_B_mc(
-                    xi.scaled(2.0 * math.sqrt(mu)),
-                    eta,
-                    base.with_mu(mu),
-                    40_000,
-                    substream(112, f"chamber:d={d}:pair={j}", i),
+                    xi.scaled(2.0 * math.sqrt(mu)), eta, base.with_mu(mu), 40_000, rng
                 )
                 gs.append(abs(b_val - a_val) * mu / m)
                 sigmas.append(se * mu / m)

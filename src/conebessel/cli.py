@@ -330,17 +330,15 @@ def _cmd_bessel(res: _Resolved):
     import numpy as np
 
     from .bessel import bessel_classical, bessel_integral_mc, bessel_series
-    from .seeds import substream
+    from .seeds import substreams
 
     cfg = res.cfg
     rows = []
-    for i, x in enumerate(cfg.grid):
+    for x, rng in zip(cfg.grid, substreams(cfg.seed, "bessel", range(len(cfg.grid)))):
         arg = (x * x / 4.0) * np.eye(cfg.q)
         val, tail = bessel_series(arg, res.params, **_series_kwargs(cfg))
         half = (x / 2.0) * np.eye(cfg.q)
-        mc, se = bessel_integral_mc(
-            half, res.params, n_samples=cfg.n_samples, rng=substream(cfg.seed, "bessel", i)
-        )
+        mc, se = bessel_integral_mc(half, res.params, n_samples=cfg.n_samples, rng=rng)
         classical = ""
         if cfg.q == 1:
             cval, _ = bessel_classical(cfg.mu - 1.0, float(x))
@@ -357,7 +355,7 @@ def _cmd_dunkl(res: _Resolved):
     import numpy as np
 
     from .dunkl import ChamberPoint, bessel_B_mc, hyper_0F0
-    from .seeds import substream
+    from .seeds import substreams
 
     cfg = res.cfg
     xi_vals = cfg.xi if cfg.xi else tuple(1.0 / (i + 1) for i in range(cfg.q))
@@ -369,13 +367,13 @@ def _cmd_dunkl(res: _Resolved):
     a_limit, _ = hyper_0F0(2.0 / cfg.d, -x2, e2, **kw)
     envelope_scale = min(1.0, float(np.linalg.norm(x2) * np.linalg.norm(e2)) ** 2)
     rows = []
-    for i, mu in enumerate(cfg.grid):
+    for mu, rng in zip(cfg.grid, substreams(cfg.seed, "dunkl", range(len(cfg.grid)))):
         b_val, se = bessel_B_mc(
             xi.scaled(2.0 * math.sqrt(mu)),
             eta,
             res.params.with_mu(mu),
             cfg.n_samples,
-            substream(cfg.seed, "dunkl", i),
+            rng,
             **kw,
         )
         gap = abs(b_val - a_limit)
@@ -422,13 +420,13 @@ def _cmd_walk(res: _Resolved):
     import numpy as np
 
     from .hypergroup import walk_batch
-    from .seeds import substream
+    from .seeds import substreams
 
     cfg = res.cfg
     names = [f"x_{i + 1}{j + 1}" for i, j in zip(*np.triu_indices(cfg.q))]
     if cfg.d == 2:
         names = [f"{name}_{part}" for name in names for part in ("re", "im")]
-    rngs = [substream(cfg.seed, "walk", rep) for rep in range(cfg.replicates)]
+    rngs = substreams(cfg.seed, "walk", range(cfg.replicates))
     # all steps run before any row is formatted, so a failing walk formats
     # nothing; the stack, (replicates, steps + 1, q, q), lives only until
     # its columns are taken

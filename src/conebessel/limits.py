@@ -26,7 +26,8 @@ from .errors import DomainError, UnsupportedRankError
 # walk_simulate is a perfbench span target
 from .hypergroup import RadialLaw, _picks, _walk_draws, _walk_steps, walk_batch, walk_simulate  # noqa: F401
 from .linalg import ConeMatrix, StructureParams, _real_if_exact, psd_sqrt
-from .seeds import STREAM_VERSION, substream
+# substream is a perfbench span target
+from .seeds import STREAM_VERSION, substream, substreams  # noqa: F401
 
 _MU_FAMILIES = ("poly", "pow2")
 _N_FAMILIES = ("poly", "polylog")
@@ -204,9 +205,7 @@ def wlln_experiment(
     for k in k_grid:
         k = int(k)
         pk = params.with_mu(schedule.mu(k))
-        label = f"wlln:k={k}"
-        rngs = [substream(master_seed, label, r) for r in range(replicates)]
-        ends = _endpoints(nu, pk, k, rngs)
+        ends = _endpoints(nu, pk, k, substreams(master_seed, f"wlln:k={k}", range(replicates)))
         hits = sum(_deviation(end, k, target) > epsilon for end in ends)
         p_hat = hits / replicates
         se = math.sqrt(p_hat * (1.0 - p_hat) / replicates)
@@ -238,10 +237,11 @@ def slln_experiment(
         raise DomainError(f"schedule fails the divergence conditions: {', '.join(bad)}")
     target = psd_sqrt(second_moment(nu)).array
     devs = []
-    for k in range(1, k_max + 1):
+    rngs = substreams(master_seed, "slln", range(1, k_max + 1))
+    for k, rng in enumerate(rngs, start=1):
         pk = params.with_mu(schedule.mu(k))
         nk = schedule.n(k)
-        end = _endpoints(nu, pk, nk, [substream(master_seed, "slln", k)])[0]
+        end = _endpoints(nu, pk, nk, [rng])[0]
         devs.append((k, pk.mu, nk, _deviation(end, nk, target)))
     rows = [ReportRow("slln", k, mu_k, nk, 1, "deviation", dev, 0.0, master_seed)
             for k, mu_k, nk, dev in devs]
@@ -303,8 +303,9 @@ def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: 
     tilts = t[tilted]
     if tilts.size:
         x, p, c = _tilt(nu, tilts)
-        rngs = [substream(master_seed, f"ldp:mu={mu:.17g}:n={n}:t={tt:.17g}", r)
-                for tt in tilts for r in range(replicates)]
+        rngs = [rng for tt in tilts
+                for rng in substreams(master_seed, f"ldp:mu={mu:.17g}:n={n}:t={tt:.17g}",
+                                      range(replicates))]
         atoms, u, balls = _walk_draws(nu, pk, n, rngs)
         # an atom whose tilted weight underflows to 0 is never picked
         u = u.reshape(len(tilts), replicates, n)
