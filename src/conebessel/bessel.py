@@ -240,8 +240,12 @@ def bessel_classical(kappa: float, z: float):
     )
 
 
-# samples per Monte Carlo chunk of the ball integral, which bounds its memory
+# draws per Monte Carlo chunk of the ball integral: one _ball_variates call
+# each, so the chunk fixes how the stream is consumed
 _BALL_CHUNK = 1 << 14
+# draws per block of a chunk whose points and integrand are built at once;
+# a draw's bits do not depend on its block, which only bounds working memory
+_BALL_BLOCK = 1 << 11
 
 
 def _mc_mean_se(draw, n_samples: int, chunk: int):
@@ -287,7 +291,10 @@ def bessel_integral_mc(x, params: StructureParams, n_samples: int, rng):
 
     x is a q x q matrix over the field.  J_mu(x* x) is the mean of
     cos(2 Re <v, x>) under the ball density, and v is drawn exactly
-    (linalg._ball_points) in chunks of 2^14; returns (value, std_error).
+    (linalg._ball_points); returns (value, std_error).  The variates are
+    drawn in chunks of _BALL_CHUNK, which fixes the stream, and the points
+    and integrand are built _BALL_BLOCK draws at a time, which only bounds
+    the working memory: the result has the same bits for any block size.
     """
     a = _as_array(x)
     if a.shape != (params.q, params.q):
@@ -296,8 +303,12 @@ def bessel_integral_mc(x, params: StructureParams, n_samples: int, rng):
     conj_x = np.conj(a).ravel()
 
     def draw(m):
-        v = _ball_points(params, *_ball_variates(params, rng, m))
-        return np.cos(2.0 * np.real(v.reshape(m, -1) @ conj_x))
+        z, g = _ball_variates(params, rng, m)
+        vals = np.empty(m)
+        for lo in range(0, m, _BALL_BLOCK):
+            v = _ball_points(params, z[lo : lo + _BALL_BLOCK], g[lo : lo + _BALL_BLOCK])
+            vals[lo : lo + len(v)] = np.cos(2.0 * np.real(v.reshape(len(v), -1) @ conj_x))
+        return vals
 
     return _mc_mean_se(draw, n_samples, _BALL_CHUNK)
 

@@ -3,6 +3,7 @@ laws: the accept/reject and importance oracle of tests/ball_oracle.py, the
 corner of a Haar matrix, and the rank-one arcsine law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ball_oracle import rejection_sample
-from conebessel.bessel import kappa_mu
+from conebessel.bessel import _BALL_BLOCK, _BALL_CHUNK, _mc_mean_se, bessel_integral_mc, kappa_mu
 from conebessel.hypergroup import _sample_ball_batch
 from conebessel.linalg import StructureParams, _ball_points, _ball_variates, _haar_batch
 from conebessel.seeds import substream
@@ -70,6 +71,68 @@ def test_draws_do_not_depend_on_the_batch():
     alone = _sample_ball_batch(params, [substream(34, "bits", 2)], 5)[0]
     stacked = _sample_ball_batch(params, [substream(34, "bits", i) for i in range(4)], 5)
     assert np.array_equal(stacked[2], alone)
+
+
+_FIELDS = [(q, d) for q in (1, 2, 3) for d in (1, 2)]
+
+
+def _argument(q, d):
+    x = 0.6 * np.eye(q) + 0.25 * np.tri(q, k=-1)
+    return x + 0.3j * np.tri(q, k=-1).T if d == 2 else x
+
+
+@pytest.mark.parametrize("q, d", _FIELDS)
+def test_block_points_equal_each_draw_alone_and_every_sub_block(q, d):
+    # bessel_integral_mc builds a chunk's points _BALL_BLOCK draws at a
+    # time; this is the property that keeps its bits independent of that
+    params = StructureParams(q=q, d=d, mu=d * q + 0.7)
+    n = 2 * _BALL_BLOCK + 5
+    z, g = _ball_variates(params, np.random.default_rng(36 + q + 3 * d), n)
+    stack = _ball_points(params, z, g)
+    for i in range(n):
+        assert np.array_equal(_ball_points(params, z[i : i + 1], g[i : i + 1])[0], stack[i])
+    for cuts in ((0, _BALL_BLOCK, 2 * _BALL_BLOCK, n), (0, 1, 778, 2 * _BALL_BLOCK - 3, n)):
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert np.array_equal(_ball_points(params, z[lo:hi], g[lo:hi]), stack[lo:hi])
+
+
+def _unblocked_integral_mc(x, params, n_samples, rng):
+    """bessel_integral_mc with each chunk's points and integrand built at
+    once, as before the chunks were split into blocks."""
+    conj_x = np.conj(x).ravel()
+
+    def draw(m):
+        v = _ball_points(params, *_ball_variates(params, rng, m))
+        return np.cos(2.0 * np.real(v.reshape(m, -1) @ conj_x))
+
+    return _mc_mean_se(draw, n_samples, _BALL_CHUNK)
+
+
+@pytest.mark.parametrize("q, d", _FIELDS)
+def test_blocked_integral_equals_the_unblocked_chunks(q, d):
+    # two whole chunks and a ragged one, whose last block is ragged too
+    params = StructureParams(q=q, d=d, mu=d * q + 0.7)
+    x, n = _argument(q, d), 2 * _BALL_CHUNK + 777
+    got = bessel_integral_mc(x, params, n, np.random.default_rng(37 + q + 3 * d))
+    want = _unblocked_integral_mc(x, params, n, np.random.default_rng(37 + q + 3 * d))
+    assert got == want
+
+
+def test_one_chunk_of_the_ball_integral_peaks_below_twice_its_variates():
+    # the points and integrand of a chunk exist one block at a time, so
+    # the chunk's variates are most of what one call holds
+    params = StructureParams(q=3, d=2, mu=7.0)
+    z, g = _ball_variates(params, np.random.default_rng(38), _BALL_CHUNK)
+    budget = 2 * (z.nbytes + g.nbytes)
+    del z, g
+    x = _argument(3, 2)
+    tracemalloc.start()
+    try:
+        bessel_integral_mc(x, params, _BALL_CHUNK, np.random.default_rng(38))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 @pytest.mark.parametrize("d, mu", [(1, 6.0), (2, 1.3), (1, 2.0**20)])
