@@ -253,22 +253,29 @@ def _mc_mean_se(draw, n_samples: int, chunk: int):
 
     draw is called on chunks of at most `chunk` samples, in order, until
     n_samples values are in; the chunking fixes how a caller's random
-    stream is consumed.
+    stream is consumed.  The mean is the sum of the chunk sums over
+    n_samples.  The variance is taken from the deviations from the first
+    chunk's mean, as their mean square less their squared mean (the
+    shifted-data formula; Chan, Golub and LeVeque, Amer. Statist. 37,
+    1983), so that a spread far below the size of the values does not
+    cancel away as it does in E[f^2] - E[f]^2.
     """
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
-    total = 0.0
-    total_sq = 0.0
+    total = dev_sum = dev_sq = 0.0
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
         vals = draw(m)
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        if not done:
+            shift = total / m
+        dev = vals - shift
+        dev_sum += float(dev.sum())
+        dev_sq += float(dev @ dev)
         done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples)
+    m2 = max(dev_sq - dev_sum * dev_sum / n_samples, 0.0)
+    return total / n_samples, math.sqrt(m2) / n_samples
 
 
 def kappa_mu(params: StructureParams) -> float:

@@ -24,7 +24,10 @@ the streams as version 2 does, but the ldp walks map their pick variates
 through the tilted law nu_t (limits.free_energy_empirical).  Version 4
 consumes the streams as version 3 does; only the bessel CSVs' series_tail
 column changes, as the package computes the certified Poisson tail itself
-(bessel._poisson_tail), raised to cover its rounding.
+(bessel._poisson_tail), raised to cover its rounding.  Version 5 consumes
+the streams as version 4 does; only the Monte Carlo standard errors (the
+bessel mc_stderr and dunkl b_stderr columns) change, as their variance is
+taken from deviations from a shift near the mean (bessel._mc_mean_se).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import operator
 
 import numpy as np
 
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
 _M32 = 0xFFFFFFFF

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from conebessel.bessel import (
+    _BALL_CHUNK,
     _poisson_tail,
     _series_from_eigs,
     bessel_classical,
@@ -25,7 +26,7 @@ from conebessel.bessel import (
 )
 from ball_oracle import kappa_importance
 from conebessel.errors import ConvergenceError, DimensionError, DomainError
-from conebessel.linalg import StructureParams
+from conebessel.linalg import StructureParams, _ball_points, _ball_variates
 from conebessel.seeds import substream
 
 
@@ -152,6 +153,25 @@ def test_integral_mc_agrees_with_series():
     assert abs(got - want) <= 5.0 * se + 1e-4
 
 
+@pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-6])
+def test_integral_mc_stderr_is_the_two_pass_one_at_small_arguments(c):
+    # near x = 0 every value is within c^2 of 1, where E[f^2] - E[f]^2
+    # cancels to rounding noise (3.3e-11 at c = 1e-4, 0.0 at c = 1e-6)
+    params, n = StructureParams(q=1, d=1, mu=4.0), 100_000
+    got, se = bessel_integral_mc(c * np.eye(1), params, n, np.random.default_rng(1))
+    rng, chunks = np.random.default_rng(1), []
+    for lo in range(0, n, _BALL_CHUNK):
+        v = _ball_points(params, *_ball_variates(params, rng, min(_BALL_CHUNK, n - lo)))
+        chunks.append(np.cos(2.0 * c * v[:, 0, 0]))
+    f = np.concatenate(chunks)
+    assert got == sum(float(ch.sum()) for ch in chunks) / n
+    # deviations from a correctly rounded mean, less their own sum's share
+    dev = f - math.fsum(f) / n
+    two_pass = math.sqrt(math.fsum(dev * dev) - math.fsum(dev) ** 2 / n) / n
+    assert se > 0.0
+    assert se == pytest.approx(two_pass, rel=1e-9, abs=0.0)
+
+
 def test_integral_mc_guards():
     params = StructureParams(q=1, d=1, mu=3.0)
     rng = substream(2, "imc", 1)
@@ -240,22 +260,22 @@ def test_poisson_tail_property(k, points):
 
 
 # SHA-256 of the seeded bessel CSVs below the config-hash line (which
-# carries the stream version), recorded under stream version 4
+# carries the stream version), recorded under stream version 5
 # (seeds.STREAM_VERSION); every byte must stay the same until the version
-# changes.  The second digest of each case leaves out the series_tail
-# column.  It was recorded under version 3, before the package computed
-# the tail itself, and shows that no other value moved with it.
+# changes.  The second digest of each case leaves out the mc_stderr column.
+# It was recorded under version 4, before the standard error was taken from
+# deviations from a shift, and shows that no other value moved with it.
 _BESSEL_DIGESTS = {
-    (1, 1): ("76f9e1e38bfd313ee292b4cb2aa402f2237d66d6b1bfe9117629fa52debcf794",
-             "0210851fa41492b743651e12b3c889ae69282b545868b251b6f867a0de7435d0"),
-    (2, 1): ("333f1abdc1751cc33682622d2edba37e11566b47d74e2197c3bea064e5caee2c",
-             "f4ca85e73760df755d5b4ce6a140b7c4ecb9055631e81339919f092d5e71dcda"),
-    (2, 2): ("dd9de29bb3640012f33be4f62d862c337b8a1a718fccbd8787876700105bed38",
-             "0811929106b5366b8cb80a0b47a4c8cdd22ffb3f464b3b05de67aef0e0a6517d"),
-    (3, 1): ("7289d473dbddd74a594fa694088f2612e7c57fde1292cbdb45a2f8db32f0248f",
-             "7882956d93acb3d41e8133efcd61bb076e21368cd052df1f5375d7a087dd3048"),
-    (3, 2): ("be54338f3d733ac984b9af43d28f845ad9372ca52722ac91e08d0a5a24f04e74",
-             "94947c448fb5268b90620ead24dd5463f1d588e902b65b6e943eedff0b986b14"),
+    (1, 1): ("8e0d2208a0d7a2701d978c681bacb47478e351696625bb9180ec841823a827fa",
+             "5c6c388273aa2ebc0bd431d228205d642d25bef67a0029f0ffcee6bb82d89df9"),
+    (2, 1): ("c1a2c997fc60562a3d4f3777cce24ce843833de5c53f4f6cd384d61b98296142",
+             "91717608699c25f9e09542352c9c0143a6291736f4e08d6381372484fec20960"),
+    (2, 2): ("ab8ae36ca4e3323b9302e95a8868f3d973819becd5d48c5e8b8c01782115740d",
+             "a6440fce9eda44eeb6283a337d1c2c29a840bc3808684fe0a8974696c96ff374"),
+    (3, 1): ("14291bc2910c32ae89646dcc4818cbd94b4950c4c938bd4f046762234f644853",
+             "e76be342513d0ffbb515b84f385e65998984aae727196e4d34fda5c406c2466a"),
+    (3, 2): ("5bb37c39870ed20bfebfdda13a69e74f565fa465af58ec093e61947b6831bf28",
+             "d7a11599a971d46849e0ea6c4b0b3571ceaa4d3c1f56d0832eac2304ff3b1ca5"),
 }
 
 
@@ -264,12 +284,12 @@ def test_bessel_csv_matches_pinned_digest(csv_digest, q, d):
     # q = 1 includes the classical column; x up to 6 takes q = 3 past weight 16
     argv = ["bessel", "--q", str(q), "--d", str(d), "--mu", "12", "--grid", "0:6:0.75",
             "--n-samples", "3000", "--seed", "23"]
-    assert (csv_digest(argv), csv_digest(argv, drop="series_tail")) == _BESSEL_DIGESTS[(q, d)]
+    assert (csv_digest(argv), csv_digest(argv, drop="mc_stderr")) == _BESSEL_DIGESTS[(q, d)]
 
 
 def test_bessel_default_grid_csv_matches_pinned_digest(csv_digest):
     # no --grid: the subcommand's default grid 0:4:0.25
     argv = ["bessel", "--q", "2", "--d", "1", "--mu", "4", "--n-samples", "500", "--seed", "5"]
-    assert csv_digest(argv) == "9cdbc130ac2ee8fa6c230b235706c49ebd4747ba83e7268440a511c1b008d767"
-    assert (csv_digest(argv, drop="series_tail")
-            == "1a9386b9c03dcb6fb3320e0bc86d92624e8976612f2afc538ac2a570dfc79b5b")
+    assert csv_digest(argv) == "0093c0e484a0b628b2c05e033490caca11b460959bd036b6adbc97885a0f18dd"
+    assert (csv_digest(argv, drop="mc_stderr")
+            == "1abaddc2f0752d4875252bcee4941fd5451a40a04f213f54aa795b2b46308f82")

@@ -145,7 +145,7 @@ def test_config_hash_is_order_invariant_and_frozen():
 def test_report_csv_golden():
     rep = ExperimentReport(rows=(ReportRow("wlln", 2, 4.0, 2, 10, "tail_prob", 0.25, 0.1, 7),))
     want = (
-        "# config_hash=015abd7f5cc57a2d stream_version=4\n"
+        "# config_hash=015abd7f5cc57a2d stream_version=5\n"
         "# seed=7\n"
         "experiment,k,mu,n,replicates,statistic,value,stderr,seed\n"
         "wlln,2,4,2,10,tail_prob,0.25,0.10000000000000001,7\n"
