@@ -97,8 +97,8 @@ def test_block_points_equal_each_draw_alone_and_every_sub_block(q, d):
 
 
 def _unblocked_integral_mc(x, params, n_samples, rng):
-    """bessel_integral_mc with each chunk's points and integrand built at
-    once, as before the chunks were split into blocks."""
+    """bessel_integral_mc with each chunk's points and integrand built in
+    one piece: the reference for its blocked loop."""
     conj_x = np.conj(x).ravel()
 
     def draw(m):
