@@ -23,12 +23,12 @@ law = RadialLaw(
     weights=(0.5, 0.5),
     atoms=(ConeMatrix(np.zeros((1, 1))), ConeMatrix(np.eye(1))),
 )
-params = StructureParams(q=1, d=1, mu=2.0)
+params = StructureParams(q=1, d=1, mu=2.0**16)
 
 print("free energy: empirical (mu = 2^16, n = 16, 4000 replicates) vs limit")
 print(f"{'t':>6} {'c_k(t)':>10} {'stderr':>9} {'c(t)':>10}")
 for t in (-2.0, -1.0, 1.0, 2.0):
-    c_k, se = free_energy_empirical(law, params, 2.0**16, 16, t, 4000, master_seed=30)
+    c_k, se = free_energy_empirical(law, params, 16, t, 4000, master_seed=30)
     c_lim = free_energy_limit(law, t)
     print(f"{t:6.1f} {c_k:10.5f} {se:9.1e} {c_lim:10.5f}")
 

@@ -292,8 +292,7 @@ def orbit_projection_consistency():
     b = np.sqrt(2.0 + 2.0 * z[:, 0])
     d1 = float(stats.ks_2samp(a, b, method="asymp").statistic)
 
-    *_, ends = walk_batch(law, params, 2, [substream(107, "walk")] * n)
-    a2 = ends[:, 0, 0]
+    a2 = walk_batch(law, params, 2, [substream(107, "walk")] * n)[:, -1, 0, 0]
     g = substream(107, "sphere-2").standard_normal((n, 2, p))
     z = g / np.linalg.norm(g, axis=2, keepdims=True)
     b2 = np.linalg.norm(z.sum(axis=1), axis=1)
@@ -367,7 +366,7 @@ def free_energy_rate():
         atoms=(ConeMatrix(np.asarray([[0.0]])), ConeMatrix(np.asarray([[1.0]]))),
     )
     t = np.array([1.0, -1.0])
-    ck, _ = free_energy_empirical(law, params, 2.0**20, 20, t, 10_000, master_seed=111)
+    ck, _ = free_energy_empirical(law, params.with_mu(2.0**20), 20, t, 10_000, master_seed=111)
     worst_c = float(np.max(np.abs(ck - free_energy_limit(law, t))))
     s = np.arange(0.1, 0.95, 0.1)
     exact = s * np.log(2.0 * s) + (1.0 - s) * np.log(2.0 * (1.0 - s))

@@ -16,10 +16,10 @@ Exit codes: 0 success, 1 acceptance-criterion failure (check only),
 entry), 3 a series could not certify its tolerance (the message carries
 the bound it did achieve).
 
-Heavy imports happen inside the command handlers so that --threads (or
-the CONEBESSEL_THREADS variable) can pin the BLAS thread count before
-numpy first loads.  When the library is already imported the pin is a
-no-op.  All file writes happen single-threaded at the end.
+Heavy imports happen inside the command handlers so that --threads can
+pin the BLAS thread count before numpy first loads.  When the library is
+already imported the pin is a no-op.  All file writes happen
+single-threaded at the end.
 """
 
 from __future__ import annotations
@@ -226,8 +226,7 @@ def _number(key: str, kind, low=-math.inf, high=math.inf):
     return parse
 
 
-def _apply_threads(flag_value):
-    value = flag_value if flag_value is not None else os.environ.get("CONEBESSEL_THREADS")
+def _apply_threads(value):
     if value is None:
         return
     try:
@@ -364,7 +363,7 @@ def _cmd_dunkl(res: _Resolved):
     x2 = xi.array() ** 2
     e2 = eta.array() ** 2
     kw = _series_kwargs(cfg)
-    a_limit, _ = hyper_0F0(2.0 / cfg.d, -x2, e2, **kw)
+    a_limit, _ = hyper_0F0(res.params.alpha, -x2, e2, **kw)
     envelope_scale = min(1.0, float(np.linalg.norm(x2) * np.linalg.norm(e2)) ** 2)
     rows = []
     for mu, rng in zip(cfg.grid, substreams(cfg.seed, "dunkl", range(len(cfg.grid)))):
@@ -428,10 +427,10 @@ def _cmd_walk(res: _Resolved):
         names = [f"{name}_{part}" for name in names for part in ("re", "im")]
     rngs = substreams(cfg.seed, "walk", range(cfg.replicates))
     # all steps run before any row is formatted, so a failing walk formats
-    # nothing; the stack, (replicates, steps + 1, q, q), lives only until
-    # its columns are taken
-    walks = walk_batch(res.law, res.params, cfg.steps, rngs)
-    cols = _walk_columns(np.stack(list(walks), axis=1).reshape(-1, cfg.q, cfg.q))
+    # nothing; the paths, (replicates, steps + 1, q, q), live only until
+    # their columns are taken
+    paths = walk_batch(res.law, res.params, cfg.steps, rngs)
+    cols = _walk_columns(paths.reshape(-1, cfg.q, cfg.q))
     row = "%d,%d," + ",".join(["%.17g"] * cols.shape[1])
     rows = []
     for rep, walk in enumerate(np.split(cols, cfg.replicates)):
@@ -469,9 +468,8 @@ def _cmd_ldp(res: _Resolved):
     from .limits import free_energy_empirical, free_energy_limit, rate_function
 
     cfg = res.cfg
-    mu_k, n_k = res.schedule.mu(cfg.k_max), res.schedule.n(cfg.k_max)
     c_k, se = free_energy_empirical(
-        res.law, res.params, mu_k, n_k, cfg.t_values, cfg.replicates, cfg.seed
+        res.law, res.params, res.schedule.n(cfg.k_max), cfg.t_values, cfg.replicates, cfg.seed
     )
     c_lim = free_energy_limit(res.law, cfg.t_values)
     rows = []
@@ -529,7 +527,7 @@ _SUBCOMMANDS = {
 
 _FLAG_SPECS = {
     "config": dict(help="flat JSON config file"),
-    "threads": dict(help="BLAS thread count (or CONEBESSEL_THREADS)"),
+    "threads": dict(help="BLAS thread count"),
     "seed": dict(type=int, help="master seed (unsigned 64-bit)"),
     "out": dict(help="output directory"),
     "q": dict(type=int, help="matrix rank"),

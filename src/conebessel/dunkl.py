@@ -11,12 +11,12 @@ the rescaled type-B function approaches the type-A function
                                       / (C_lambda(1,...,1) |lambda|!),
 
 and for the complex field (alpha = 1) the type-A function has a closed
-alternating-sum form over the symmetric group.
+form: an alternating sum over the symmetric group, which is the
+determinant det[exp(-xi_i^2 eta_j^2)] over two Vandermonde products.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -143,29 +143,14 @@ def _vandermonde(z: np.ndarray) -> float:
     return out
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def harish_chandra_exact(xi2, eta2) -> float:
     """Closed form of 0F0^1(-xi2, eta2) for the complex field:
 
-        (prod_{j<q} j!) (-1)^{q(q-1)/2}
-        * sum over permutations w of sgn(w) exp(-(xi2, w eta2))
-        / (Vandermonde(xi2) Vandermonde(eta2)).
+        (prod_{j<q} j!) (-1)^{q(q-1)/2} det[exp(-xi2_i eta2_j)]
+        / (Vandermonde(xi2) Vandermonde(eta2)),
+
+    whose determinant is the alternating sum over permutations w of
+    sgn(w) exp(-(xi2, w eta2)), taken by LU with pivoting.
 
     Entries of each argument must be pairwise separated by at least
     1e-6 relative to the scale, else the alternating sum cancels
@@ -177,7 +162,7 @@ def harish_chandra_exact(xi2, eta2) -> float:
     if e.size != q:
         raise DimensionError("xi2 and eta2 must have the same length")
     if q > 8:
-        raise DomainError("alternating sum is only practical for q <= 8")
+        raise DomainError("the alternating sum cancels past q = 8; use the series")
     for z, name in ((x, "xi2"), (e, "eta2")):
         scale = max(1.0, float(np.max(np.abs(z))))
         gaps = np.abs(z[:, None] - z[None, :])[np.triu_indices(q, 1)]
@@ -189,11 +174,9 @@ def harish_chandra_exact(xi2, eta2) -> float:
     pref = 1.0
     for j in range(1, q):
         pref *= math.factorial(j)
-    acc = 0.0
-    for perm in itertools.permutations(range(q)):
-        acc += _perm_sign(perm) * math.exp(-float(np.dot(x, e[list(perm)])))
+    det = float(np.linalg.det(np.exp(-np.outer(x, e))))
     sign = -1.0 if (q * (q - 1) // 2) % 2 else 1.0
-    return pref * sign * acc / (_vandermonde(x) * _vandermonde(e))
+    return pref * sign * det / (_vandermonde(x) * _vandermonde(e))
 
 
 def exp_conjugation_mc(xi2, eta2, d: int, n_samples: int, rng):

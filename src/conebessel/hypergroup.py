@@ -11,13 +11,13 @@ law arises as the radial part of sums of p x q matrices with uniformly
 rotated frames; tests/orbit_oracle.py simulates that picture as an
 independent check of this module.
 
-Replicate walks run as a batch (walk_batch): the states are one stacked
-(R, q, q) array, each walk keeps its own random stream and draws all of its
-randomness when the walk starts, and one kernel step advances all of them
-with stacked arithmetic.  Streams draw one after another, so the batch of
-m walks on [rng] * m is m successive walks on rng.  A ConeMatrix, with its
-checks, is built only where a state leaves the package: walk_simulate and
-convolve_sample.
+Replicate walks run as a batch (walk_batch): their paths are one stacked
+(R, n + 1, q, q) array, each walk keeps its own random stream and draws all
+of its randomness when the walk starts, and one kernel step advances all of
+them with stacked arithmetic into the path's next slice.  Streams draw one
+after another, so the batch of m walks on [rng] * m is m successive walks
+on rng.  A ConeMatrix, with its checks, is built only where a state leaves
+the package: walk_simulate and convolve_sample.
 """
 
 from __future__ import annotations
@@ -157,14 +157,15 @@ def _walk_draws(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
 
 
 def _walk_steps(params: StructureParams, atoms: np.ndarray, picks: np.ndarray, balls):
-    """The states of walks from zero whose step k takes atoms[picks[:, k]]
-    with ball draws balls[:, k]."""
-    states = np.zeros((len(picks), params.q, params.q), dtype=params.dtype)
+    """The paths S_0 = 0, S_1, ..., S_n, stacked (R, n + 1, q, q), of walks
+    from zero whose step k takes atoms[picks[:, k]] with ball draws
+    balls[:, k]; each step is written into its slice of the path."""
+    path = np.zeros((len(picks), picks.shape[1] + 1, params.q, params.q), dtype=params.dtype)
     zero = np.ones(len(picks), dtype=bool)
-    yield states
     atom_zero = ~atoms.any(axis=(1, 2))
     for step, pick in enumerate(picks.T):
-        states = states.copy()
+        states = path[:, step + 1]
+        states[:] = path[:, step]  # a zero atom keeps the state
         live = ~zero & ~atom_zero[pick]
         # a zero state takes the atom, and stays zero if the atom is zero
         states[zero] = atoms[pick[zero]]
@@ -176,15 +177,15 @@ def _walk_steps(params: StructureParams, atoms: np.ndarray, picks: np.ndarray, b
             r = _real_if_exact(states[live])
             states[live] = _convolve_stack(r, atoms[pick[live]], balls[live, step])
             zero[live] = ~states[live].any(axis=(1, 2))
-        yield states
+    return path
 
 
-def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
+def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs) -> np.ndarray:
     """Independent walks started at zero, one per stream, advanced together.
 
-    Yields S_0 = 0, S_1, ..., S_n, each a new (len(rngs), q, q) array of
-    dtype params.dtype, one matrix per stream.  Each stream in turn draws
-    rng.random(n) for its atom picks and then its n ball draws
+    Returns the paths S_0 = 0, S_1, ..., S_n as one (len(rngs), n + 1, q, q)
+    array of dtype params.dtype, one path per stream.  Each stream in turn
+    draws rng.random(n) for its atom picks and then its n ball draws
     (_walk_draws), so its use does not depend on the path: a draw that a
     zero state (which takes the atom) or a zero atom (which keeps the
     state) leaves unused is still drawn.  The other walks take one
@@ -194,7 +195,7 @@ def walk_batch(nu: RadialLaw, params: StructureParams, n_steps: int, rngs):
     successive walk_simulate(nu, params, n_steps, rng) calls.
     """
     atoms, u, balls = _walk_draws(nu, params, n_steps, rngs)
-    yield from _walk_steps(params, atoms, _picks(nu.weights, u), balls)
+    return _walk_steps(params, atoms, _picks(nu.weights, u), balls)
 
 
 def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng) -> tuple:
@@ -203,4 +204,4 @@ def walk_simulate(nu: RadialLaw, params: StructureParams, n_steps: int, rng) -> 
     Returns the states S_0 = 0, S_1, ..., S_n as a tuple of validated
     ConeMatrix; the one-stream case of walk_batch.
     """
-    return tuple(ConeMatrix(states[0]) for states in walk_batch(nu, params, n_steps, [rng]))
+    return tuple(map(ConeMatrix, walk_batch(nu, params, n_steps, [rng])[0]))

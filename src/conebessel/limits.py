@@ -166,14 +166,6 @@ def second_moment(nu: RadialLaw) -> ConeMatrix:
     return ConeMatrix(total)
 
 
-def _endpoints(nu, params, n_steps, rngs) -> np.ndarray:
-    """S_n of one walk per stream, stacked (len(rngs), q, q), all run
-    together by walk_batch."""
-    for states in walk_batch(nu, params, n_steps, rngs):
-        pass
-    return states
-
-
 def _deviation(end: np.ndarray, n_steps: int, target) -> float:
     # an imaginary-free endpoint divides as a real array: complex division
     # by a real scalar rounds differently
@@ -205,7 +197,8 @@ def wlln_experiment(
     for k in k_grid:
         k = int(k)
         pk = params.with_mu(schedule.mu(k))
-        ends = _endpoints(nu, pk, k, substreams(master_seed, f"wlln:k={k}", range(replicates)))
+        rngs = substreams(master_seed, f"wlln:k={k}", range(replicates))
+        ends = walk_batch(nu, pk, k, rngs)[:, -1]
         hits = sum(_deviation(end, k, target) > epsilon for end in ends)
         p_hat = hits / replicates
         se = math.sqrt(p_hat * (1.0 - p_hat) / replicates)
@@ -241,7 +234,7 @@ def slln_experiment(
     for k, rng in enumerate(rngs, start=1):
         pk = params.with_mu(schedule.mu(k))
         nk = schedule.n(k)
-        end = _endpoints(nu, pk, nk, [rng])[0]
+        end = walk_batch(nu, pk, nk, [rng])[0, -1]
         devs.append((k, pk.mu, nk, _deviation(end, nk, target)))
     rows = [ReportRow("slln", k, mu_k, nk, 1, "deviation", dev, 0.0, master_seed)
             for k, mu_k, nk, dev in devs]
@@ -273,11 +266,12 @@ def _tilt(nu: RadialLaw, t):
     return x, p / total, (shift + np.log(total))[..., 0]
 
 
-def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: int, t,
+def free_energy_empirical(nu: RadialLaw, params: StructureParams, n: int, t,
                           replicates: int, master_seed: int):
-    """Finite-k free energy c_k(t) = (1/n) ln E[exp(t S_n^2)] by Monte
-    Carlo over `replicates` walks, with delta-method standard error, at a
-    scalar t (two floats) or an array of t (two arrays of its shape).
+    """Finite-k free energy c_k(t) = (1/n) ln E[exp(t S_n^2)] at the index
+    params.mu by Monte Carlo over `replicates` walks, with delta-method
+    standard error, at a scalar t (two floats) or an array of t (two arrays
+    of its shape).
 
     The walks pick their atoms from the tilted law nu_t and are reweighted
     exactly: c_k(t) = c(t) + (1/n) ln E_{nu_t}[exp(t (S_n^2 - sum_k x_{i_k}))].
@@ -296,22 +290,20 @@ def free_energy_empirical(nu: RadialLaw, params: StructureParams, mu: float, n: 
         raise UnsupportedRankError("the free energy is defined for q = 1 only")
     if n < 1 or replicates < 2:
         raise DomainError("need n >= 1 and replicates >= 2")
-    pk = params.with_mu(mu)
     t = np.asarray(t, dtype=float)
     c_k, se = np.zeros(t.shape), np.zeros(t.shape)
     tilted = t != 0.0
     tilts = t[tilted]
     if tilts.size:
         x, p, c = _tilt(nu, tilts)
+        label = f"ldp:mu={params.mu:.17g}:n={n}"
         rngs = [rng for tt in tilts
-                for rng in substreams(master_seed, f"ldp:mu={mu:.17g}:n={n}:t={tt:.17g}",
-                                      range(replicates))]
-        atoms, u, balls = _walk_draws(nu, pk, n, rngs)
+                for rng in substreams(master_seed, f"{label}:t={tt:.17g}", range(replicates))]
+        atoms, u, balls = _walk_draws(nu, params, n, rngs)
         # an atom whose tilted weight underflows to 0 is never picked
         u = u.reshape(len(tilts), replicates, n)
         picks = np.concatenate([_picks(row, block) for row, block in zip(p, u)])
-        for ends in _walk_steps(pk, atoms, picks, balls):
-            pass
+        ends = _walk_steps(params, atoms, picks, balls)[:, -1]
         fluctuations = np.real(ends[:, 0, 0]) ** 2 - x[picks].sum(axis=1)
         values = []
         for tt, ct, fluct in zip(tilts, c, fluctuations.reshape(len(tilts), replicates)):

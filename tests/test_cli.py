@@ -77,14 +77,9 @@ def test_config_from_another_stream_version_is_refused(tmp_path):
 def test_apply_threads_flag_env_and_validation(monkeypatch):
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.delenv("CONEBESSEL_THREADS", raising=False)
-    cli._apply_threads(None)  # nothing set, nothing touched
+    cli._apply_threads(None)  # no flag, nothing touched
     assert "OMP_NUM_THREADS" not in os.environ
-
-    monkeypatch.setenv("CONEBESSEL_THREADS", "3")
-    cli._apply_threads(None)
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    cli._apply_threads("2")  # the flag wins over the environment
+    cli._apply_threads("2")
     assert all(os.environ[v] == "2" for v in cli._THREAD_VARS)
     with pytest.raises(ConfigError):
         cli._apply_threads("zero")

@@ -235,13 +235,12 @@ def test_walk_batch_matches_one_stream_walks_bit_for_bit():
         params = StructureParams(q=q, d=d, mu=mu)
         law = _law(q, [np.linspace(1.0, 0.6, q), np.zeros(q), np.linspace(0.5, 0.7, q)],
                    weights=(0.4, 0.3, 0.3))
-        batch = list(walk_batch(law, params, 7, [substream(20, "batch", r) for r in range(5)]))
-        assert len(batch) == 8
-        assert all(states.shape == (5, q, q) and states.dtype == params.dtype for states in batch)
+        batch = walk_batch(law, params, 7, [substream(20, "batch", r) for r in range(5)])
+        assert batch.shape == (5, 8, q, q) and batch.dtype == params.dtype
         for r in range(5):
             alone = walk_simulate(law, params, 7, substream(20, "batch", r))
             for k, point in enumerate(alone):
-                got = batch[k][r]
+                got = batch[r, k]
                 assert np.array_equal(got, point.array)
                 # a real state reads +0.0, never -0.0, in the imaginary parts
                 if not np.iscomplexobj(point.array):
@@ -256,12 +255,12 @@ def test_walk_batch_on_one_stream_is_successive_walks():
         law = _law(q, [np.linspace(1.0, 0.6, q), np.zeros(q), np.linspace(0.5, 0.7, q)],
                    weights=(0.4, 0.3, 0.3))
         rng = substream(21, f"one-stream:{q}:{d}")
-        batch = list(walk_batch(law, params, 7, [rng] * 4))
+        batch = walk_batch(law, params, 7, [rng] * 4)
         rng = substream(21, f"one-stream:{q}:{d}")
         for r in range(4):
             alone = walk_simulate(law, params, 7, rng)
             for k, point in enumerate(alone):
-                assert np.array_equal(batch[k][r], point.array)
+                assert np.array_equal(batch[r, k], point.array)
 
 
 # SHA-256 of the seeded walk and ldp CSVs below the config-hash line (which

@@ -39,6 +39,7 @@ def _bernoulli_law():
 
 
 P1 = StructureParams(q=1, d=1, mu=2.0)
+P16, P64 = P1.with_mu(16.0), P1.with_mu(64.0)
 
 
 # ----------------------------------------------------------------- schedule
@@ -231,16 +232,16 @@ def test_slln_csv_matches_pinned_digest(csv_digest):
 
 def test_free_energy_empirical_basics():
     law = _bernoulli_law()
-    v0, s0 = free_energy_empirical(law, P1, mu=64.0, n=4, t=0.0, replicates=10, master_seed=3)
+    v0, s0 = free_energy_empirical(law, P64, n=4, t=0.0, replicates=10, master_seed=3)
     assert (v0, s0) == (0.0, 0.0)
-    v1, s1 = free_energy_empirical(law, P1, mu=64.0, n=4, t=-1.0, replicates=50, master_seed=3)
-    v2, _ = free_energy_empirical(law, P1, mu=64.0, n=4, t=-1.0, replicates=50, master_seed=3)
+    v1, s1 = free_energy_empirical(law, P64, n=4, t=-1.0, replicates=50, master_seed=3)
+    v2, _ = free_energy_empirical(law, P64, n=4, t=-1.0, replicates=50, master_seed=3)
     assert v1 == v2
     assert s1 > 0.0
     with pytest.raises(UnsupportedRankError):
-        free_energy_empirical(law, StructureParams(q=2, d=1, mu=4.0), 64.0, 4, 1.0, 10, 0)
+        free_energy_empirical(law, StructureParams(q=2, d=1, mu=64.0), 4, 1.0, 10, 0)
     with pytest.raises(DomainError):
-        free_energy_empirical(law, P1, 64.0, 0, 1.0, 10, 0)
+        free_energy_empirical(law, P64, 0, 1.0, 10, 0)
 
 
 def test_free_energy_at_zero_tilt_runs_no_walks(monkeypatch):
@@ -251,17 +252,17 @@ def test_free_energy_at_zero_tilt_runs_no_walks(monkeypatch):
 
     monkeypatch.setattr(limits, "_walk_draws", no_walks)
     law = _bernoulli_law()
-    assert free_energy_empirical(law, P1, 64.0, 4, 0.0, 10, 3) == (0.0, 0.0)
+    assert free_energy_empirical(law, P64, 4, 0.0, 10, 3) == (0.0, 0.0)
     with pytest.raises(DomainError):  # the argument checks still come first
-        free_energy_empirical(law, P1, 64.0, 0, 0.0, 10, 3)
+        free_energy_empirical(law, P64, 0, 0.0, 10, 3)
 
 
 def test_free_energy_tilt_grid_is_its_scalar_calls():
     # every tilt's walks run as one stack, each on its own streams: the
     # grid gives the scalar calls' bits, and c_k(0) = 0 is no walk at all
     law = _rank_one_law((0.3, 0.7), (0.4, 1.0))
-    grid = free_energy_empirical(law, P1, 16.0, 5, [-1.0, 0.0, 1.0], 20, 8)
-    scalar = [free_energy_empirical(law, P1, 16.0, 5, t, 20, 8) for t in (-1.0, 0.0, 1.0)]
+    grid = free_energy_empirical(law, P16, 5, [-1.0, 0.0, 1.0], 20, 8)
+    scalar = [free_energy_empirical(law, P16, 5, t, 20, 8) for t in (-1.0, 0.0, 1.0)]
     assert all(isinstance(v, float) for pair in scalar for v in pair)
     assert grid[0].shape == grid[1].shape == (3,)
     assert grid[0].tolist() == [c for c, _ in scalar]
@@ -380,7 +381,7 @@ def test_large_deviations_need_a_rank_one_law():
     with pytest.raises(UnsupportedRankError):
         rate_function(law, 0.5)
     with pytest.raises(UnsupportedRankError):
-        free_energy_empirical(law, P1, 64.0, 4, 1.0, 10, 0)
+        free_energy_empirical(law, P64, 4, 1.0, 10, 0)
 
 
 def test_free_energy_reweights_walks_of_the_tilted_law():
@@ -392,20 +393,19 @@ def test_free_energy_reweights_walks_of_the_tilted_law():
     c = math.log(0.3 * math.exp(t * x[0]) + 0.7 * math.exp(t * x[1]))
     tilted = RadialLaw(weights=tuple(law.weights * np.exp(t * x - c)), atoms=law.atoms)
     label = f"ldp:mu={mu:.17g}:n={n}:t={t:.17g}"
-    for states in walk_batch(tilted, P1.with_mu(mu), n,
-                             [substream(5, label, r) for r in range(reps)]):
-        pass
+    rngs = [substream(5, label, r) for r in range(reps)]
+    states = walk_batch(tilted, P1.with_mu(mu), n, rngs)[:, -1]
     u = [substream(5, label, r).random(n) for r in range(reps)]
     picks = _picks(tilted.weights, u)
     ratios = np.exp(t * (states[:, 0, 0] ** 2 - x[picks].sum(axis=1)))
-    got, se = free_energy_empirical(law, P1, mu, n, t, reps, 5)
+    got, se = free_energy_empirical(law, P1.with_mu(mu), n, t, reps, 5)
     assert got == pytest.approx(c + math.log(ratios.mean()) / n, rel=1e-12)
     assert 0.0 < se < 0.1
 
 
 def _free_energy_runs(mu, t, seeds):
-    law = _bernoulli_law()
-    return np.array([free_energy_empirical(law, P1, mu, 20, t, 100, seed) for seed in seeds])
+    law, params = _bernoulli_law(), P1.with_mu(mu)
+    return np.array([free_energy_empirical(law, params, 20, t, 100, seed) for seed in seeds])
 
 
 def test_free_energy_stderr_covers_at_a_large_index():

@@ -1,6 +1,7 @@
 """Package metadata, the lazy top-level exports, and the names and
 command lines the benchmark uses."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -53,6 +54,22 @@ def test_benchmark_span_targets_resolve():
                 owner = getattr(owner, part)
             found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
             assert callable(found), f"{module}.{path} does not resolve"
+
+
+def test_unused_imports_are_only_span_shims():
+    # a module-level `from` import that its module never reads is kept only
+    # as a name the span recorder patches there; any other is dead code, and
+    # a shim whose span is retired must go with it
+    patched = {(module, path) for _, sites, _ in _spans().TARGETS for module, path in sites}
+    for source in sorted((ROOT / "src" / "conebessel").glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"conebessel.{source.stem}"
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    assert name in read or (module, name) in patched, f"{module} imports {name}"
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def test_walk_csv_matches_the_row_by_row_oracle(tmp_path, name):
     law = RadialLaw(weights=cli._parse_floats(weights, "weights"),
                     atoms=tuple(np.diag(diag) for diag in cli._parse_atoms(atoms)))
     rngs = [substream(seed, "walk", rep) for rep in range(replicates)]
-    history = list(walk_batch(law, StructureParams(q=q, d=d, mu=mu), steps, rngs))
+    history = walk_batch(law, StructureParams(q=q, d=d, mu=mu), steps, rngs).swapaxes(0, 1)
     if "mixed" in name:
         # one step holds states whose sum of squares overflows and plain ones
         big = np.max(np.abs(history[1]), axis=(1, 2)) > 1e160

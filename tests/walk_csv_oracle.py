@@ -27,7 +27,8 @@ def frobenius(a) -> float:
 
 def walk_csv_lines(history, q: int, d: int) -> list:
     """The column header and the rows, replicate by replicate and step by
-    step, for walk_batch's states S_0, ..., S_n (each (replicates, q, q))."""
+    step, for the states S_0, ..., S_n (each (replicates, q, q)) of
+    walk_batch's paths."""
     pairs = [(i, j) for i in range(q) for j in range(i, q)]
     if d == 1:
         coord_cols = [f"x_{i + 1}{j + 1}" for i, j in pairs]
