@@ -86,7 +86,7 @@ def zonal_power_trace():
             rng = substream(102, f"zonal:q={q}:d={d}")
             eigs = rng.standard_normal((100, q)) ** 2
             tr = eigs.sum(axis=1)
-            for k, (_, vals) in zip(range(1, 9), layers(2.0 / d, q, eigs)):
+            for k, (_, vals) in enumerate(layers(2.0 / d, q, eigs, 8), start=1):
                 rel = np.abs(vals.sum(axis=0) - tr**k) / tr**k
                 worst = max(worst, float(rel.max()))
     return worst <= 1e-8, f"max rel err = {worst:.2e} (tol 1e-8)"
@@ -156,9 +156,7 @@ def _check_zonal_sign_bound(rng, n_per):
     for q in (2, 3):
         for d in (1, 2):
             eigs = rng.standard_normal((n_per, q)) ** 2
-            for _, (_, pos), (_, neg) in zip(
-                range(8), layers(2.0 / d, q, eigs), layers(2.0 / d, q, -eigs)
-            ):
+            for (_, pos), (_, neg) in zip(layers(2.0 / d, q, eigs, 8), layers(2.0 / d, q, -eigs, 8)):
                 worst = max(worst, _norm_violation(np.abs(neg), pos))
     return worst
 

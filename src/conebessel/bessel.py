@@ -13,9 +13,10 @@ Z(|x|) summing to (tr|x|)^k, everything beyond weight K is bounded by
     2^{dq(q-1)/2} * sum_{k>K} (tr|x| / mu)^k / k!,
 
 a scalar Poisson tail.  The tail grows with tr|x|, so a batch of points
-gets one bound, taken at its largest tr|x| / mu.  Truncation is therefore
-never silent: callers get the certified bound, or a ConvergenceError
-carrying the bound achieved at the weight cap.
+gets one bound, taken at its largest tr|x| / mu; the stop weight is fixed
+from it before any layer is evaluated.  Truncation is therefore never
+silent: callers get the certified bound, or, before any layer, a
+ConvergenceError carrying the bound achieved at the weight cap.
 
 The same function has an integral form against the ball density
 Delta(I - v*v)^{mu-rho}, estimated here by Monte Carlo with exact draws
@@ -118,45 +119,44 @@ def _tail_below_mode(k: int, s: float) -> float:
 
 def _certified_sum(terms, s: np.ndarray, tol: float, max_weight: int, name: str,
                    floor: float = 1.0):
-    """1 + the weight-1, 2, ... terms of a batch of series, stopped by the
-    scalar Poisson tail at the batch's largest point.
+    """1 + the weight-1, ..., K terms of a batch of series, with K fixed by
+    the scalar Poisson tail at the batch's largest point before any term
+    is evaluated.
 
-    terms yields, for k = 1, 2, ..., the weight-k term at every point of
+    terms(K) yields, for k = 1, ..., K, the weight-k term at every point of
     the batch; s holds one tail argument per point, so that everything
     beyond weight K is at most floor * sum_{j>K} s^j / j!.  That tail grows
-    with s, so the batch gets one bound, taken at its largest s.  Returns
-    (partial sums, that bound) at the first K where it is within tol;
-    raises ConvergenceError (named `name`) on a non-finite partial sum or
-    at max_weight.
+    with s, so the batch gets one bound, taken at its largest s, and K is
+    the first weight where it is within tol.  Returns (partial sums, that
+    bound); raises ConvergenceError (named `name`) before any term when no
+    K <= max_weight certifies, and on a non-finite partial sum.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     # the tail is at least its first term top^{k+1} / (k+1)!, a cheap check
     top = float(np.max(s))
     first = 1.0
-    total = np.ones(s.shape)
-    for k in range(max(max_weight, 0) + 1):
-        if k:
-            # an overflow here is caught by the finiteness check below
-            with np.errstate(over="ignore", invalid="ignore"):
-                total += next(terms)
-            if not np.all(np.isfinite(total)):
-                raise ConvergenceError(
-                    f"{name} partial sum is not finite at weight {k}",
-                    achieved_bound=math.inf,
-                )
-        first *= top / (k + 1)
-        if floor * first > tol:
-            continue
-        tail = floor * _poisson_tail(k, top)
+    for stop in range(max(max_weight, 0) + 1):
+        first *= top / (stop + 1)
+        tail = math.inf if floor * first > tol else floor * _poisson_tail(stop, top)
         if tail <= tol:
-            return total, tail
-    achieved = floor * _poisson_tail(max(max_weight, 0), top)
-    raise ConvergenceError(
-        f"{name} not certified to {tol:.2e} within weight {max_weight}; "
-        f"achieved bound {achieved:.2e}",
-        achieved_bound=achieved,
-    )
+            break
+    else:
+        achieved = floor * _poisson_tail(max(max_weight, 0), top)
+        raise ConvergenceError(
+            f"{name} not certified to {tol:.2e} within weight {max_weight}; "
+            f"achieved bound {achieved:.2e}",
+            achieved_bound=achieved,
+        )
+    total = np.ones(s.shape)
+    # an overflow, in the power table too, is caught by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, term in enumerate(terms(stop), start=1):
+            total += term
+            if not np.all(np.isfinite(total)):
+                raise ConvergenceError(f"{name} partial sum is not finite at weight {k}",
+                                       achieved_bound=math.inf)
+    return total, tail
 
 
 def _series_from_eigs(
@@ -177,18 +177,21 @@ def _series_from_eigs(
         raise DimensionError(f"expected eigenvalue batch of shape (n, {params.q})")
     alpha = params.alpha
 
-    def terms():
-        sign = 1.0
-        inv_fact = 1.0
-        for k, (parts, vals) in enumerate(layers(alpha, params.q, eigs), start=1):
-            sign = -sign
-            inv_fact /= k
-            poch = np.array([gen_pochhammer(mu, lam, alpha) for lam in parts])
-            yield sign * inv_fact * (vals / poch[:, None]).sum(axis=0)
+    def terms(n):
+        scale = 1.0  # (-1)^k / k!
+        k = 0
+        # no name or enumerate tuple holds a layer while the next is built
+        for parts, vals in layers(alpha, params.q, eigs, n):
+            k += 1
+            scale /= -k
+            vals /= np.array([gen_pochhammer(mu, lam, alpha) for lam in parts])[:, None]
+            term = scale * vals.sum(axis=0)
+            del vals
+            yield term
 
     s = np.abs(eigs).sum(axis=1) / mu
     poch_floor = 2.0 ** (params.d * params.q * (params.q - 1) / 2.0)
-    return _certified_sum(terms(), s, tol, max_weight, "Bessel series", floor=poch_floor)
+    return _certified_sum(terms, s, tol, max_weight, "Bessel series", floor=poch_floor)
 
 
 def bessel_series(

@@ -29,7 +29,8 @@ Expansion coefficients do not depend on the number of variables, and the
 set of partitions with at most q parts is closed upward in dominance
 order, so the table for q variables restricts every sum to partitions of
 length at most q.  Tables are memoized per (alpha, q) and filled one
-weight at a time under a lock.
+weight at a time under a lock.  A batch is evaluated at a number of
+weights fixed in advance, all from one table of powers.
 """
 
 from __future__ import annotations
@@ -214,23 +215,6 @@ def _get_table(alpha, q: int) -> _JackTable:
     return table
 
 
-def _more_powers(xi_batch: np.ndarray, powers: np.ndarray, n: int) -> np.ndarray:
-    """The power table extended to the exponents 0, ..., n - 1.
-
-    powers[v, e] = xi_batch[:, v] ** e, shape (q, exponents, batch), so
-    that each (variable, exponent) row is contiguous.  The new exponents
-    vary along the innermost axis while the powers are taken, and there
-    are always at least two of them, so every entry goes through the
-    general pow: a constant exponent would let numpy square by x * x,
-    which is not always the same float.
-    """
-    done = powers.shape[1]
-    out = np.empty((powers.shape[0], n, powers.shape[2]))
-    out[:, :done] = powers
-    out[:, done:] = (xi_batch[:, :, None] ** np.arange(done, n)).transpose(1, 2, 0)
-    return out
-
-
 def _monomial_values(expo_list, powers: np.ndarray) -> np.ndarray:
     """Monomial symmetric polynomial values, shape (n partitions, batch).
 
@@ -249,20 +233,26 @@ def _monomial_values(expo_list, powers: np.ndarray) -> np.ndarray:
     return out
 
 
-def layers(alpha, q: int, xi_batch: np.ndarray):
-    """Yield (partitions, values) for the weights k = 1, 2, ... in turn.
+def layers(alpha, q: int, xi_batch: np.ndarray, n_weights: int):
+    """Yield (partitions, values) for the weights k = 1, ..., n_weights.
 
     Each item is the weight-k layer: every C_lambda^alpha with |lambda| = k
     and len(lambda) <= q, with values of shape (n partitions, batch) at the
     rows of xi_batch, which has shape (batch, q).  All layers read one
-    power table, extended to 2k exponents when weight k outgrows it.
+    power table, powers[v, e] = xi_batch[:, v] ** e for e = 0, ...,
+    n_weights, built at the first item with shape (q, n_weights + 1,
+    batch) so that each (variable, exponent) row is contiguous.  The
+    exponent varies along the innermost axis while the powers are taken,
+    and there are at least two exponents wherever a layer is yielded, so
+    every entry goes through the general pow: a constant exponent would
+    let numpy square by x * x, which is not always the same float.
     """
     table = _get_table(alpha, q)
     xi = np.asarray(xi_batch, dtype=float)
-    powers = np.empty((q, 0, xi.shape[0]))
-    for k in itertools.count(1):
-        if powers.shape[1] <= k:
-            powers = _more_powers(xi, powers, 2 * k)
+    powers = np.ascontiguousarray(
+        (xi[:, :, None] ** np.arange(n_weights + 1)).transpose(1, 2, 0)
+    )
+    for k in range(1, n_weights + 1):
         parts, coeff, expo, _ = table.layer(k)
         yield parts, coeff @ _monomial_values(expo, powers)
 
@@ -270,14 +260,14 @@ def layers(alpha, q: int, xi_batch: np.ndarray):
 def unit_layers(alpha, q: int):
     """Yield the weight-k values C_lambda^alpha(1, ..., 1) for k = 1, 2, ...,
     tabulated once per layer of the (alpha, q) table, bit for bit the values
-    of layers(alpha, q, np.ones((1, q)))."""
+    of layers(alpha, q, np.ones((1, q)), n) for any n >= k."""
     table = _get_table(alpha, q)
     for k in itertools.count(1):
         yield table.layer(k)[3]
 
 
 def layer_values(alpha, q: int, k: int, xi_batch: np.ndarray):
-    """The weight-k item of layers(alpha, q, xi_batch), for k >= 1."""
+    """The last item of layers(alpha, q, xi_batch, k), for k >= 1."""
     if k < 1:
         raise DomainError(f"weight must be at least 1, got {k}")
-    return next(itertools.islice(layers(alpha, q, xi_batch), k - 1, None))
+    return next(itertools.islice(layers(alpha, q, xi_batch, k), k - 1, None))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from conebessel import jack
 from conebessel.bessel import (
     _BALL_CHUNK,
     _poisson_tail,
@@ -25,6 +26,7 @@ from conebessel.bessel import (
     theorem1_gap,
 )
 from ball_oracle import kappa_importance
+from conebessel.dunkl import hyper_0F0
 from conebessel.errors import ConvergenceError, DimensionError, DomainError
 from conebessel.linalg import StructureParams, _ball_points, _ball_variates
 from conebessel.seeds import substream
@@ -82,6 +84,25 @@ def test_batch_bound_is_the_tail_at_its_largest_point():
     with pytest.raises(ConvergenceError) as err:
         _series_from_eigs(params, eigs, max_weight=stop - 1)
     assert err.value.achieved_bound == floor * _poisson_tail(stop - 1, top)
+
+
+def test_an_uncertifiable_batch_raises_before_any_layer(monkeypatch):
+    # the stop weight is decided at the batch's largest point before any
+    # term is summed, so a batch the cap cannot certify evaluates no layer
+    # (summing them all took 0.9 s at the default cap of 30)
+    def no_layer(self, k):
+        raise AssertionError(f"layer {k} was evaluated")
+
+    monkeypatch.setattr(jack._JackTable, "layer", no_layer)
+    params = StructureParams(q=3, d=1, mu=4.0)
+    top, floor = 300.0 / 4.0, 2.0 ** 3
+    for cap in (30, 60):
+        with pytest.raises(ConvergenceError, match=f"within weight {cap};") as err:
+            bessel_series(100.0 * np.eye(3), params, max_weight=cap)
+        assert err.value.achieved_bound == floor * _poisson_tail(cap, top)
+    with pytest.raises(ConvergenceError, match="0F0 series not certified") as err:
+        hyper_0F0(1.0, [30.0], [2.0], max_weight=4)
+    assert err.value.achieved_bound == _poisson_tail(4, 60.0)
 
 
 def test_series_refuses_a_non_finite_partial_sum():

@@ -1,6 +1,7 @@
 """Chamber Bessel functions: series, alternating closed form, Haar averages."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -58,6 +59,25 @@ def test_hyper_0f0_symmetric_in_arguments():
         assert v1 == pytest.approx(v2, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, n", [(1, 4000), (2, 3600)])
+def test_chamber_draws_keep_a_small_traced_peak(d, n):
+    # one chamber op's draw at mu = 64: the Haar arrays die before the
+    # series runs, its power table stops at the stop weight and no layer
+    # outlives the next (2.4-2.5 MB; 4.5-4.8 MB if they all live through
+    # the series)
+    params = StructureParams(q=3, d=d, mu=64.0)
+    xi, eta = ChamberPoint((16.0, 8.0, 16.0 / 3.0)), ChamberPoint((0.8, 0.4, 0.8 / 3.0))
+    # the same draws first, so that every Jack table the call reads is built
+    bessel_B_mc(xi, eta, params, n, substream(1, "peak"))
+    tracemalloc.start()
+    try:
+        bessel_B_mc(xi, eta, params, n, substream(1, "peak"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6
+
+
 def test_hyper_0f0_alpha_one_matches_alternating_form():
     # harish_chandra_exact is an independent route to the same number
     x2 = np.array([1.1, 0.4, 0.05])
@@ -91,6 +111,11 @@ def test_harish_chandra_rank_one_and_guards():
         harish_chandra_exact([1.0, 1.0 + 1e-9], [2.0, 1.0])
     with pytest.raises(DomainError):
         harish_chandra_exact(list(range(9)), list(range(9)))
+    # well separated entries, but past q = 4 the quotient cancels beyond
+    # the 1e-9 the 50-digit comparison below holds (3e-9 at q = 5 and
+    # 2e-3 at q = 8 on its points)
+    with pytest.raises(DomainError, match="past q = 4"):
+        harish_chandra_exact([2.5, 2.0, 1.5, 1.0, 0.5], [2.0, 1.6, 1.2, 0.8, 0.4])
     with pytest.raises(DimensionError):
         harish_chandra_exact([1.0, 2.0], [1.0])
 

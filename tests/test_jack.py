@@ -151,7 +151,7 @@ def test_layer_weighted_by_rho_is_the_second_trace_term(q, d):
     # rho(lambda) = sum_i lambda_i (lambda_i - 1 - d (i - 1)) sums to
     # k (k - 1) tr(y^2) (tr y)^(k - 2): one check of every coefficient
     y = np.random.default_rng(11).uniform(0.1, 1.5, (6, q))
-    for k, (parts, vals) in zip(range(1, 13), layers(2.0 / d, q, y)):
+    for k, (parts, vals) in enumerate(layers(2.0 / d, q, y, 12), start=1):
         rho = np.array([sum(l * (l - 1 - d * i) for i, l in enumerate(lam)) for lam in parts])
         rhs = k * (k - 1) * (y**2).sum(axis=1) * y.sum(axis=1) ** (k - 2)
         assert np.all(np.abs(rho @ vals - rhs) <= 1e-12 * np.abs(rhs)), k
@@ -184,13 +184,15 @@ def _reference_layer(alpha, q, k, xi):
 def test_unit_layers_are_the_layers_at_ones_bit_for_bit(alpha, q):
     # hyper_0F0 divides by these; tabulating them once per layer must not
     # move a bit of the values a third layers generator at (1, ..., 1) gave
-    for k, v1, (_, want) in zip(range(1, 15), unit_layers(alpha, q), layers(alpha, q, np.ones((1, q)))):
+    pairs = zip(layers(alpha, q, np.ones((1, q)), 14), unit_layers(alpha, q))
+    for k, ((_, want), v1) in enumerate(pairs, start=1):
         assert v1.tobytes() == want[:, 0].tobytes(), k
 
 
 def _assert_layers_match_reference(alpha, q, xi):
-    # weight 20 takes the shared table past its extension from 16 to 32 exponents
-    for k, (parts, vals) in zip(range(1, 21), layers(alpha, q, xi)):
+    got = list(layers(alpha, q, xi, 20))
+    assert len(got) == 20
+    for k, (parts, vals) in enumerate(got, start=1):
         want_parts, want = _reference_layer(alpha, q, k, xi)
         assert parts == want_parts
         assert vals.shape == want.shape
