@@ -277,14 +277,18 @@ def free_energy_empirical(nu: RadialLaw, params: StructureParams, n: int, t,
     exactly: c_k(t) = c(t) + (1/n) ln E_{nu_t}[exp(t (S_n^2 - sum_k x_{i_k}))].
     The exponent is the walk's fluctuation about the sum of its steps'
     squares.  At a large index it is small, the weights are nearly equal
-    and the standard error is honest.  At a small one (mu = 8) nu_t is not
-    the optimal tilt: the weights are heavy-tailed and the standard error
-    understates the spread across seeds.  Each t has its own streams,
-    labelled by mu, n and t, and each stream makes a walk_batch walk's
-    generator calls; only its map from pick variates to atoms follows
-    nu_t.  The walks of every nonzero t run as one stack, and a walk's bits
-    do not depend on the stack, so each t gets the value of a call with t
-    alone.  c_k(0) = 0 needs no walks.
+    and the standard error is honest.  At a small one nu_t is not the
+    optimal tilt: at t > 0 the mean is carried by rare, nearly aligned ball
+    draws that the weights miss, and the standard error does not show it.
+    The fair {0, 1} law at mu = 8, n = 10, t = +1 (20,000 replicates, seed
+    7) reads 1.1122 +- 0.0216 against the exact 1.5272 (z = -19), below
+    the CLI's 20%-of-value warning; at t = -1, and at mu = 2^10, |z| <= 2.
+
+    Each t has its own streams, labelled by mu, n and t, and each stream
+    makes a walk_batch walk's generator calls; only its map from pick
+    variates to atoms follows nu_t.  The walks of every nonzero t run as
+    one stack, and a walk's bits do not depend on the stack, so each t gets
+    the value of a call with t alone.  c_k(0) = 0 needs no walks.
     """
     if params.q != 1:
         raise UnsupportedRankError("the free energy is defined for q = 1 only")

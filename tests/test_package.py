@@ -135,10 +135,10 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (tmp_path / "walk.csv").read_text(encoding="utf-8").count("\n") == 3 + 2
 
 
-def test_subcommands_other_than_check_do_not_load_scipy(tmp_path):
-    # scipy is needed only by `check` and the tests; a cold import of the
-    # series modules with it took 0.45 s and 54 MB, without it 0.16 s and
-    # 28 MB (2-core x86-64 host)
+def test_the_package_never_loads_scipy(tmp_path):
+    # scipy is needed only by the tests; with it a cold import of the
+    # acceptance suite took 0.8 s and 100 MB, without it 0.16 s and 34.5 MB
+    # (2-core x86-64 host)
     src = str(Path(conebessel.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     runs = [["bessel", "--q", "2", "--mu", "3", "--grid", "0.5", "--n-samples", "100"],
@@ -150,6 +150,7 @@ def test_subcommands_other_than_check_do_not_load_scipy(tmp_path):
              "--replicates", "4", "--t-values", "0,1", "--grid", "0.5"]]
     code = (
         "import contextlib, io, sys\n"
+        "import conebessel.acceptance\n"
         "from conebessel import cli\n"
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
