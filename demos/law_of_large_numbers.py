@@ -13,6 +13,7 @@ from conebessel import (
     RadialLaw,
     Schedule,
     StructureParams,
+    schedule_conditions,
     slln_experiment,
     wlln_experiment,
 )
@@ -25,8 +26,8 @@ params = StructureParams(q=2, d=1, mu=2.0)
 schedule = Schedule(mu_family="poly", mu_c=1.0, mu_b=1.0)
 
 print("weak law: tail probabilities at eps = 0.15, index schedule mu_k = k")
-report = wlln_experiment(law, params, schedule, (8, 32, 128), 150, 0.15, master_seed=20)
-for row in report.rows:
+weak = wlln_experiment(law, params, schedule, (8, 32, 128), 150, 0.15, master_seed=20)
+for row in weak:
     print(
         f"  k = {row.k:4d}  mu_k = {row.mu:8.0f}  "
         f"P(deviation > eps) = {row.value:.3f} +- {row.stderr:.3f}"
@@ -34,10 +35,11 @@ for row in report.rows:
 
 print()
 print("strong law: one path along a pow2 index schedule, n_k = k steps")
-strong = slln_experiment(law, params, Schedule(mu_family="pow2"), 14, master_seed=21)
-for name, verdict in strong.diagnostics:
+doubling = Schedule(mu_family="pow2")
+strong = slln_experiment(law, params, doubling, 14, master_seed=21)
+for name, verdict in schedule_conditions(doubling):
     print(f"  schedule condition {name}: {verdict}")
-sup = {r.k: r.value for r in strong.rows if r.statistic == "tail_sup"}
+sup = {r.k: r.value for r in strong if r.statistic == "tail_sup"}
 for k in (1, 4, 8, 12, 14):
     print(f"  k = {k:2d}   sup of deviations from k on = {sup[k]:.4f}")
 print("(exact schedule conditions; the limit itself is not observable)")

@@ -56,8 +56,6 @@ _EXPORTS = {
     "Schedule": "limits",
     "schedule_conditions": "limits",
     "ReportRow": "limits",
-    "ExperimentReport": "limits",
-    "config_hash": "limits",
     "second_moment": "limits",
     "wlln_experiment": "limits",
     "slln_experiment": "limits",

@@ -339,8 +339,8 @@ def weak_law_tail():
     params = StructureParams(q=1, d=1, mu=4.0)
     law = RadialLaw(weights=(1.0,), atoms=(ConeMatrix(np.asarray([[1.0]])),))
     sched = Schedule(mu_family="poly", mu_c=1.0, mu_b=1.0)
-    rep = wlln_experiment(law, params, sched, (25, 100, 400), 200, 0.1, master_seed=109)
-    probs = [r.value for r in rep.rows]
+    rows = wlln_experiment(law, params, sched, (25, 100, 400), 200, 0.1, master_seed=109)
+    probs = [r.value for r in rows]
     ok = probs[-1] <= 0.05 and probs[0] >= probs[1] >= probs[2]
     return ok, f"tail probabilities {probs} (last <= 0.05, non-increasing)"
 
@@ -353,8 +353,8 @@ def strong_law_trend():
     sched = Schedule(mu_family="pow2", n_family="poly")
     wins = 0
     for seed in range(20):
-        rep = slln_experiment(law, params, sched, 20, master_seed=seed)
-        dev = {r.k: r.value for r in rep.rows if r.statistic == "deviation"}
+        rows = slln_experiment(law, params, sched, 20, master_seed=seed)
+        dev = {r.k: r.value for r in rows if r.statistic == "deviation"}
         if dev[20] < dev[5]:
             wins += 1
     return wins >= 18, f"deviation shrank in {wins}/20 paths (need >= 18)"

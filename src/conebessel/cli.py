@@ -244,10 +244,12 @@ class _Resolved:
     built from the fields the subcommand reads, before any compute."""
 
     def __init__(self, cfg: RunConfig, command: str):
+        import hashlib
+
         import numpy as np
 
         from .hypergroup import RadialLaw
-        from .limits import Schedule, config_hash
+        from .limits import Schedule
         from .linalg import StructureParams
         from .seeds import STREAM_VERSION
 
@@ -290,20 +292,28 @@ class _Resolved:
                     raise ConfigError(f"atom diagonal {list(diag)} needs exactly q={cfg.q} entries")
             atoms = tuple(np.diag(diag) for diag in cfg.atoms)
             self.law = RadialLaw(weights=cfg.weights, atoms=atoms)
+        for key in ("xi", "eta"):
+            point = getattr(cfg, key)
+            # an empty point is dunkl's default, built at rank q
+            if key in reads and point and len(point) != cfg.q:
+                raise ConfigError(f"{key} {list(point)} needs exactly q={cfg.q} entries")
 
         self.cfg = cfg
         echo = {k: v for k, v in cfg.as_dict().items() if k == "experiment" or k in reads}
         self.echo = {**echo, "stream_version": STREAM_VERSION}
         # where the files go is not what they hold: the hash leaves out `out`
-        self.hash = config_hash({k: v for k, v in self.echo.items() if k != "out"})
+        canon = json.dumps({k: v for k, v in self.echo.items() if k != "out"},
+                           sort_keys=True, separators=(",", ":"))
+        self.hash = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
     def write(self, columns: str, rows: list, size: str | None = None):
-        """Write the CSV and the config echo, both named after the subcommand."""
-        from .limits import csv_text
-
+        """Write the CSV (a line with the config hash and the stream
+        version, the master seed line, the column header and the rows) and
+        the config echo, both named after the subcommand."""
         stem = os.path.join(self.cfg.out, self.cfg.experiment)
+        head = f"# config_hash={self.hash} stream_version={self.echo['stream_version']}"
         with open(f"{stem}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text(self.hash, self.cfg.seed, columns, rows))
+            fh.write("\n".join([head, f"# seed={self.cfg.seed}", columns, *rows]) + "\n")
         with open(f"{stem}_config.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.echo, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -439,27 +449,35 @@ def _cmd_walk(res: _Resolved):
     res.write(header, rows, f"{cfg.replicates} paths x {cfg.steps} steps")
 
 
+def _write_report(res: _Resolved, rows):
+    """Write the lln or slln experiment's ReportRows, one line each."""
+    res.write("experiment,k,mu,n,replicates,statistic,value,stderr,seed", [
+        f"{r.experiment},{r.k},{_g(r.mu)},{r.n},{r.replicates},"
+        f"{r.statistic},{_g(r.value)},{_g(r.stderr)},{r.seed}"
+        for r in rows
+    ])
+
+
 def _cmd_lln(res: _Resolved):
     """Weak-law tail probabilities along a grid of walk lengths."""
-    from .limits import REPORT_COLUMNS, wlln_experiment
+    from .limits import wlln_experiment
 
     cfg = res.cfg
-    report = wlln_experiment(
+    _write_report(res, wlln_experiment(
         res.law, res.params, res.schedule, cfg.grid, cfg.replicates, cfg.epsilon, cfg.seed
-    )
-    res.write(REPORT_COLUMNS, report.csv_rows())
+    ))
 
 
 def _cmd_slln(res: _Resolved):
-    """One strong-law path per seeded replicate plus the schedule's
+    """One strong-law path along the schedule, then the schedule's
     condition verdicts."""
-    from .limits import REPORT_COLUMNS, slln_experiment
+    from .limits import schedule_conditions, slln_experiment
 
     cfg = res.cfg
-    report = slln_experiment(res.law, res.params, res.schedule, cfg.k_max, cfg.seed)
-    for name, verdict in report.diagnostics:
+    rows = slln_experiment(res.law, res.params, res.schedule, cfg.k_max, cfg.seed)
+    for name, verdict in schedule_conditions(res.schedule):
         print(f"schedule condition {name}: {verdict}")
-    res.write(REPORT_COLUMNS, report.csv_rows())
+    _write_report(res, rows)
 
 
 def _cmd_ldp(res: _Resolved):
@@ -560,6 +578,9 @@ _PARSERS = {
     **{key: _number(key, spec["type"]) for key, spec in _FLAG_SPECS.items() if "type" in spec},
     "seed": _number("seed", int, 0, 2**64),
     "replicates": _number("replicates", int, 1),
+    "n_samples": _number("n_samples", int, 2),
+    "steps": _number("steps", int, 0),
+    "k_max": _number("k_max", int, 1),
     "max_weight": _number("max_weight", int, 0),
     "grid": parse_grid,
     "atoms": _parse_atoms,

@@ -5,18 +5,16 @@ The walks of growing index obey a weak law of large numbers
 second moment of the step law), a strong law along index/step schedules
 that grow fast enough, and, for rank one, a large-deviation principle
 whose free energy and rate function have exact finite forms for atomic
-step laws.  This module drives desk-scale experiments for all three and
-reports them in a reproducible tabular form.
+step laws.  This module drives desk-scale experiments for all three.
 
 The three conditions a strong-law schedule must meet are decided exactly
 from its families and exponents.  The limits themselves are not
 observable at finite k: the experiments' rows are finite-sample evidence.
+The experiments return their rows; the command line writes them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +25,7 @@ from .errors import DomainError, UnsupportedRankError
 from .hypergroup import RadialLaw, _picks, _walk_draws, _walk_steps, walk_batch, walk_simulate  # noqa: F401
 from .linalg import ConeMatrix, StructureParams, _real_if_exact, psd_sqrt
 # substream is a perfbench span target
-from .seeds import STREAM_VERSION, substream, substreams  # noqa: F401
+from .seeds import substream, substreams  # noqa: F401
 
 _MU_FAMILIES = ("poly", "pow2")
 _N_FAMILIES = ("poly", "polylog")
@@ -123,40 +121,6 @@ class ReportRow:
     seed: int
 
 
-REPORT_COLUMNS = "experiment,k,mu,n,replicates,statistic,value,stderr,seed"
-
-
-def config_hash(config: dict) -> str:
-    """Stable 16-hex-digit digest of a JSON-serializable config."""
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def csv_text(config_digest: str, seed: int, columns: str, rows) -> str:
-    """A run's CSV: a line with the config hash and the stream version, the
-    master seed line, the column header and the rows."""
-    head = f"# config_hash={config_digest} stream_version={STREAM_VERSION}"
-    lines = [head, f"# seed={seed}", columns, *rows]
-    return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Rows of one experiment (each carries the master seed) and any
-    schedule condition verdicts."""
-
-    rows: tuple
-    diagnostics: tuple = ()
-
-    def csv_rows(self) -> list:
-        """One CSV line per row, in REPORT_COLUMNS order."""
-        return [
-            f"{r.experiment},{r.k},{r.mu:.17g},{r.n},{r.replicates},"
-            f"{r.statistic},{r.value:.17g},{r.stderr:.17g},{r.seed}"
-            for r in self.rows
-        ]
-
-
 def second_moment(nu: RadialLaw) -> ConeMatrix:
     """Weighted mean of the squared atoms, a point of the cone."""
     q = nu.q
@@ -180,7 +144,7 @@ def wlln_experiment(
     replicates: int,
     epsilon: float,
     master_seed: int,
-) -> ExperimentReport:
+) -> tuple[ReportRow, ...]:
     """Empirical weak-law tail probabilities.
 
     For each k in k_grid, run `replicates` independent k-step walks at
@@ -203,7 +167,7 @@ def wlln_experiment(
         p_hat = hits / replicates
         se = math.sqrt(p_hat * (1.0 - p_hat) / replicates)
         rows.append(ReportRow("wlln", k, pk.mu, k, replicates, "tail_prob", p_hat, se, master_seed))
-    return ExperimentReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def slln_experiment(
@@ -212,14 +176,14 @@ def slln_experiment(
     schedule: Schedule,
     k_max: int,
     master_seed: int,
-) -> ExperimentReport:
+) -> tuple[ReportRow, ...]:
     """Single-path strong-law deviations along a schedule.
 
     For each k <= k_max, simulate one fresh n_k-step walk at index mu_k
     and record d_k = ||S_{n_k}/sqrt(n_k) - sqrt(second moment)||, plus the
     running supremum of deviations from k onward.  The schedule must meet
-    the three conditions of schedule_conditions, which are exact; the
-    report embeds their verdicts.  Almost-sure convergence is not
+    the three conditions of schedule_conditions, which are exact; one that
+    fails raises before any walk.  Almost-sure convergence is not
     testable; the rows are trend evidence only.
     """
     if k_max < 1:
@@ -229,22 +193,21 @@ def slln_experiment(
     if bad:
         raise DomainError(f"schedule fails the divergence conditions: {', '.join(bad)}")
     target = psd_sqrt(second_moment(nu)).array
-    devs = []
-    rngs = substreams(master_seed, "slln", range(1, k_max + 1))
-    for k, rng in enumerate(rngs, start=1):
+    ks = range(1, k_max + 1)
+    mus, ns, devs = [], [], []
+    for k, rng in zip(ks, substreams(master_seed, "slln", ks)):
         pk = params.with_mu(schedule.mu(k))
         nk = schedule.n(k)
         end = walk_batch(nu, pk, nk, [rng])[0, -1]
-        devs.append((k, pk.mu, nk, _deviation(end, nk, target)))
-    rows = [ReportRow("slln", k, mu_k, nk, 1, "deviation", dev, 0.0, master_seed)
-            for k, mu_k, nk, dev in devs]
-    tail = -math.inf
-    sup_rows = []
-    for k, mu_k, nk, dev in reversed(devs):
-        tail = max(tail, dev)
-        sup_rows.append(ReportRow("slln", k, mu_k, nk, 1, "tail_sup", tail, 0.0, master_seed))
-    rows.extend(reversed(sup_rows))
-    return ExperimentReport(rows=tuple(rows), diagnostics=diags)
+        mus.append(pk.mu)
+        ns.append(nk)
+        devs.append(_deviation(end, nk, target))
+    sups = np.maximum.accumulate(devs[::-1])[::-1].tolist()
+    return tuple(
+        ReportRow("slln", k, mu_k, nk, 1, statistic, value, 0.0, master_seed)
+        for statistic, values in (("deviation", devs), ("tail_sup", sups))
+        for k, mu_k, nk, value in zip(ks, mus, ns, values)
+    )
 
 
 def _tilt(nu: RadialLaw, t):

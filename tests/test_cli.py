@@ -4,6 +4,7 @@ Everything drives cli.main(argv) in-process; no subprocesses needed.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -177,15 +178,16 @@ def test_same_config_in_two_directories_gives_identical_csvs(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda a: a[0])
 def test_csv_header_carries_the_echo_hash(tmp_path, argv):
-    from conebessel.limits import config_hash
-
     rc = cli.main([*argv, "--q", "1", "--d", "1", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0
     name = argv[0]
     lines = (tmp_path / f"{name}.csv").read_text().splitlines()
     echo = json.loads((tmp_path / f"{name}_config.json").read_text())
     del echo["out"]
-    assert lines[0] == f"# config_hash={config_hash(echo)} stream_version={STREAM_VERSION}"
+    # the first 16 hex digits of the SHA-256 of the sorted, compact JSON
+    canon = json.dumps(echo, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    digest = hashlib.sha256(canon).hexdigest()[:16]
+    assert lines[0] == f"# config_hash={digest} stream_version={STREAM_VERSION}"
     assert lines[1] == "# seed=3"
 
 
@@ -308,6 +310,16 @@ def test_malformed_config_list_exits_two(tmp_path, capsys, field):
         (["ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--n-b=-inf"], "exponents must be finite"),
         # mu_k = k^4 loses against k^5: condition (1) fails
         (["slln", "--mu-family", "poly", "--mu-b", "4", "--k-max", "3"], "index_beats_all_powers"),
+        # each failed only inside the run, naming an internal variable
+        (["bessel", "--mu", "3", "--grid", "0.5", "--n-samples", "1"],
+         "n_samples must be int in [2, "),
+        (["walk", "--mu", "3", "--steps=-1"], "steps must be int in [0, "),
+        (["slln", "--k-max", "0"], "k_max must be int in [1, "),
+        # these reached the 0F0 series at the points' rank before they failed
+        (["dunkl", "--q", "3", "--xi", "1,0.5", "--eta", "0.8,0.4"],
+         "xi [1.0, 0.5] needs exactly q=3 entries"),
+        (["dunkl", "--q", "3", "--xi", "1,0.5"], "xi [1.0, 0.5] needs exactly q=3 entries"),
+        (["dunkl", "--q", "2", "--eta", "0.8,0.4,0.2"], "eta [0.8, 0.4, 0.2] needs exactly q=2"),
     ],
 )
 def test_out_of_range_value_exits_two(tmp_path, capsys, argv, message):

@@ -72,6 +72,28 @@ def test_unused_imports_are_only_span_shims():
                     assert name in read or (module, name) in patched, f"{module} imports {name}"
 
 
+def test_only_the_cli_knows_the_run_file_format():
+    # the hash of the config echo and the stream version on the CSV's first
+    # line are the command line's: no computing module takes a JSON digest
+    # or reads the version, which seeds defines
+    for source in sorted((ROOT / "src" / "conebessel").glob("*.py")):
+        if source.stem in ("cli", "seeds"):
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "json" not in [alias.name for alias in node.names], source.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "json", source.name
+                assert "STREAM_VERSION" not in [alias.name for alias in node.names], source.name
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                assert name != "STREAM_VERSION", source.name
+    seeds = ast.parse((ROOT / "src" / "conebessel" / "seeds.py").read_text(encoding="utf-8"))
+    assert any(isinstance(target, ast.Name) and target.id == "STREAM_VERSION"
+               for node in seeds.body if isinstance(node, ast.Assign) for target in node.targets)
+
+
 @pytest.mark.parametrize(
     "argv, amounts",
     [
