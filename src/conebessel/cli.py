@@ -278,6 +278,8 @@ class _Resolved:
             for k in lengths:
                 if not float(k).is_integer():
                     raise ConfigError(f"walk lengths must be whole numbers, got {k!r}")
+                if k < 1:
+                    raise ConfigError(f"walk lengths must be at least 1, got {k!r}")
             indices = tuple(self.schedule.mu(int(k)) for k in lengths)
         for mu in indices:
             self.params = StructureParams(q=cfg.q, d=cfg.d, mu=mu)

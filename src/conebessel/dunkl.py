@@ -76,8 +76,10 @@ def bessel_B_mc(
     unitary group of the field, by Haar Monte Carlo.
 
     Returns (value, std_error).  This is the type-B Bessel function at
-    (xi, i eta) with multiplicity (mu - (d(q-1)+1)/2, d/2).  Each chunk's
-    Haar draws and matrices are freed before its series runs.
+    (xi, i eta) with multiplicity (mu - (d(q-1)+1)/2, d/2).  A chunk's
+    Haar frames and the integrand's arguments, built entry by entry along
+    the sample axis with one eigvalsh over the chunk (_integrand_eigs),
+    are freed before its series runs.
     """
     if xi.q != params.q or eta.q != params.q:
         raise DimensionError("chamber points must have length q")
@@ -96,12 +98,24 @@ def bessel_B_mc(
 
 
 def _integrand_eigs(params: StructureParams, xv, ev, rng, m: int) -> np.ndarray:
-    """Eigenvalues, shape (m, q), of (1/4) eta u xi^2 u* eta at m Haar draws u."""
-    u = _haar_batch(params.q, params.d, rng, m)
-    w = (u * (xv * xv)) @ np.conj(np.swapaxes(u, 1, 2))
-    arg = 0.25 * ev[None, :, None] * w * ev[None, None, :]
-    arg = (arg + np.conj(np.swapaxes(arg, 1, 2))) / 2.0
-    return np.linalg.eigvalsh(arg)
+    """Eigenvalues, shape (m, q), of (1/4) eta u xi^2 u* eta at m Haar draws u.
+
+    The upper triangle is built entry by entry along the sample axis from
+    the frames' (column, row, sample) array and mirrored, so that eigvalsh
+    gets an exactly Hermitian input with no batched matrix product.
+    """
+    q = params.q
+    cols = _haar_batch(q, params.d, rng, m).T
+    x2 = (xv * xv)[:, None]
+    arg = np.empty((q, q, m), dtype=params.dtype)
+    for i in range(q):
+        row = cols[:, i] * x2
+        for j in range(i, q):
+            s = (row * cols[:, j].conj()).sum(axis=0)
+            arg[i, j] = (0.25 * ev[i] * ev[j]) * (s.real if i == j else s)
+            if i < j:
+                arg[j, i] = arg[i, j].conj()
+    return np.linalg.eigvalsh(arg.transpose(2, 0, 1))
 
 
 def hyper_0F0(

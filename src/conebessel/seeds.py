@@ -28,6 +28,11 @@ column changes, as the package computes the certified Poisson tail itself
 the streams as version 4 does; only the Monte Carlo standard errors (the
 bessel mc_stderr and dunkl b_stderr columns) change, as their variance is
 taken from deviations from a shift near the mean (bessel._mc_mean_se).
+Version 6 consumes the streams as version 5 does; only the rounding of
+the dunkl b_value, b_stderr and gap columns moves, as the Haar frames are
+orthonormalized by Gram-Schmidt run twice instead of QR
+(linalg._haar_batch) and the chamber integrand is built entry by entry
+(dunkl._integrand_eigs).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import operator
 
 import numpy as np
 
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
 _M32 = 0xFFFFFFFF

@@ -320,6 +320,8 @@ def test_malformed_config_list_exits_two(tmp_path, capsys, field):
          "xi [1.0, 0.5] needs exactly q=3 entries"),
         (["dunkl", "--q", "3", "--xi", "1,0.5"], "xi [1.0, 0.5] needs exactly q=3 entries"),
         (["dunkl", "--q", "2", "--eta", "0.8,0.4,0.2"], "eta [0.8, 0.4, 0.2] needs exactly q=2"),
+        # failed in the schedule as "k starts at 1", naming its internal variable
+        (["lln", "--grid", "0"], "walk lengths must be at least 1, got 0.0"),
     ],
 )
 def test_out_of_range_value_exits_two(tmp_path, capsys, argv, message):

@@ -7,10 +7,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from haar_oracle import integrand_eigs
 from conebessel.bessel import bessel_series
 from conebessel.dunkl import (
     ChamberPoint,
     bessel_B_mc,
+    _integrand_eigs,
     exp_conjugation_mc,
     harish_chandra_exact,
     hyper_0F0,
@@ -76,6 +78,20 @@ def test_chamber_draws_keep_a_small_traced_peak(d, n):
     finally:
         tracemalloc.stop()
     assert peak < 3.2e6
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("q", (2, 3))
+def test_integrand_eigenvalues_match_the_batched_product_oracle(q, d):
+    # the entry-by-entry argument and the QR frames' batched product agree
+    # from one generator state up to rounding, at the scale of the largest
+    # eigenvalue
+    params = StructureParams(q=q, d=d, mu=64.0)
+    xv, ev = np.array([16.0, 8.0, 16.0 / 3.0])[:q], np.array([0.8, 0.4, 0.8 / 3.0])[:q]
+    got = _integrand_eigs(params, xv, ev, np.random.default_rng(q + d), 2000)
+    want = integrand_eigs(q, d, xv, ev, np.random.default_rng(q + d), 2000)
+    assert got.shape == want.shape == (2000, q)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_hyper_0f0_alpha_one_matches_alternating_form():
@@ -195,11 +211,13 @@ def test_chamber_average_guards():
 
 
 # SHA-256 of the seeded dunkl CSVs below the config-hash line, recorded
-# under stream version 5.  The second digest of each case leaves out the
-# b_stderr column; it was recorded under version 4 and shows that no other
-# value moved with the standard error.
+# under stream version 5; version 6 moved a b_stderr of the d=1 run in its
+# last bit, and that digest was recorded again.  The second digest of each
+# case leaves out the b_stderr column; it was recorded under version 4 and
+# shows that no other value moved with the standard error (version 5) or
+# with the rounding of the Haar frames and the integrand (version 6).
 _DUNKL_DIGESTS = {
-    1: ("faed103747e817658188f421e7fac5ec0272650b3339221199650bfc8a5ea430",
+    1: ("c4ae7d391e02494e551ce9e95c688a9a4f011717f576bc7bacb8e8172024a5e3",
         "88a205c2956eec8575fcdb98d596216614abfb0f1412c20b6452e166c1e1d08a"),
     2: ("571f63692128f8daf073a614c2dc2f849a7c33fbbc29ac0eb117974d50d55fcd",
         "afc91efa122376d56dbaed54928f9f853efd1aacdaf5960f5f2092814da37b1d"),
@@ -214,8 +232,9 @@ def test_dunkl_csv_matches_pinned_digest(csv_digest, d):
 
 
 def test_dunkl_default_grid_csv_matches_pinned_digest(csv_digest):
-    # no --grid: the subcommand's default indices 64, 128, 256
+    # no --grid: the subcommand's default indices 64, 128, 256; both digests
+    # recorded under version 6, whose rounding moved a b_value here
     argv = ["dunkl", "--q", "2", "--d", "1", "--n-samples", "200", "--seed", "5"]
-    assert csv_digest(argv) == "f5fd6fdb06e94fc341f2062575da82321e4e4dedb661a7b5a132bec1266a71d7"
+    assert csv_digest(argv) == "860b51a027339dc1937f3b2d1627ac6ad921e4649cd7756170ec04b24d605761"
     assert (csv_digest(argv, drop="b_stderr")
-            == "00f238be0bba107a9c61e096f8315f9899bec1369ce767aec02e87223f2e4a73")
+            == "cb0e84eea949e7312c9a8786f580936701bac6467e4745d87c6b19b8aa01d8aa")

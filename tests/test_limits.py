@@ -207,7 +207,7 @@ def test_lln_csv_config_hash_line_is_pinned(tmp_path, capsys):
             "--mu-family", "poly", "--replicates", "12", "--seed", "5", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     head = (tmp_path / "lln.csv").read_text(encoding="utf-8").split("\n", 1)[0]
-    assert head == "# config_hash=15a6f9feaa1846cd stream_version=5"
+    assert head == "# config_hash=b1e95cf075f5e7bf stream_version=6"
     capsys.readouterr()
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from haar_oracle import haar_batch_qr
 from conebessel.errors import DimensionError, DomainError
 from conebessel.linalg import (
     ConeMatrix,
@@ -170,3 +171,51 @@ def test_haar_first_entry_moment():
     n, p = 4000, 3
     vals = np.abs(_haar_batch(p, 2, rng, n)[:, 0, 0]) ** 2
     assert vals.mean() == pytest.approx(1.0 / p, abs=5 * vals.std() / np.sqrt(n))
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("p", range(1, 6))
+def test_haar_frames_match_the_qr_oracle(p, d):
+    # the same normals from the same generator state: Gram-Schmidt twice
+    # and Householder QR with the phase fold give one Q up to rounding
+    got = _haar_batch(p, d, np.random.default_rng(40 + p), 500)
+    want = haar_batch_qr(p, d, np.random.default_rng(40 + p), 500)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class _StubNormals:
+    """A generator whose standard_normal returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_haar_frames_stay_orthonormal_on_nearly_dependent_columns(d):
+    # each column a hair away from the span of the ones before it: one
+    # Gram-Schmidt pass would leave the frame off by the hair's inverse
+    # times the rounding, the second brings it back to rounding
+    rng = np.random.default_rng(8)
+    n, p = 64, 4
+    parts = []
+    for _ in range(d):
+        g = rng.standard_normal((n, p, p))
+        for j in range(1, p):
+            g[:, :, j] = g[:, :, 0] + 1e-9 * j * g[:, :, j]
+        parts.append(g)
+    u = _haar_batch(p, d, _StubNormals(*parts), n)
+    gram = np.conj(u.swapaxes(1, 2)) @ u
+    assert np.max(np.abs(gram - np.eye(p))) <= 1e-13
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_haar_real_draws_do_not_depend_on_the_batch_size(p):
+    # at d=1 the first k draws of n are the k draws of a batch of k, bit for bit
+    big = _haar_batch(p, 1, np.random.default_rng(9), 1000)
+    small = _haar_batch(p, 1, np.random.default_rng(9), 7)
+    assert np.array_equal(big[:7], small)

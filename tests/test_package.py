@@ -94,6 +94,16 @@ def test_only_the_cli_knows_the_run_file_format():
                for node in seeds.body if isinstance(node, ast.Assign) for target in node.targets)
 
 
+def test_every_stream_version_is_documented():
+    # the seeds docstring says what each version changed; a version that
+    # lands without its entry would leave old results unexplained
+    from conebessel import seeds
+
+    doc = " ".join(seeds.__doc__.split())
+    for version in range(2, seeds.STREAM_VERSION + 1):
+        assert f"Version {version} " in doc, version
+
+
 @pytest.mark.parametrize(
     "argv, amounts",
     [
