@@ -280,6 +280,9 @@ class _Resolved:
                     raise ConfigError(f"walk lengths must be whole numbers, got {k!r}")
                 if k < 1:
                     raise ConfigError(f"walk lengths must be at least 1, got {k!r}")
+            # lln and ldp report a standard error over the replicates
+            if "replicates" in reads and cfg.replicates < 2:
+                raise ConfigError(f"{command} needs replicates >= 2, got {cfg.replicates}")
             indices = tuple(self.schedule.mu(int(k)) for k in lengths)
         for mu in indices:
             self.params = StructureParams(q=cfg.q, d=cfg.d, mu=mu)

@@ -33,7 +33,6 @@ from .linalg import (
     _ball_points,
     _ball_variates,
     _psd_sqrt_stack,
-    _real_if_exact,
     _require_field,
     psd_sqrt,
 )
@@ -117,7 +116,10 @@ def _step_square(r: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _convolve_stack(r: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One draw from delta_r[i] * delta_s[i] for stacked nonzero pairs r, s
     (n, q, q) and ball draws v[i], stacked: the walk-step kernel.  Each pair
-    gets the bits that a stack of one, and convolve_sample, would give it."""
+    gets the bits that a stack of one would give it, in the stack's dtype.
+    convolve_sample takes a real matrix's square root with the real routine,
+    so at q >= 2 a complex-typed square whose imaginary parts are all zero
+    gets its bits only to rounding."""
     return _psd_sqrt_stack(_step_square(r, s, v))
 
 
@@ -171,11 +173,7 @@ def _walk_steps(params: StructureParams, atoms: np.ndarray, picks: np.ndarray, b
         states[zero] = atoms[pick[zero]]
         zero = zero & atom_zero[pick]
         if live.any():
-            # the dtype that stacking the states' ConeMatrix arrays (each
-            # real when its imaginary part is zero) gives, which fixes the
-            # step's bits
-            r = _real_if_exact(states[live])
-            states[live] = _convolve_stack(r, atoms[pick[live]], balls[live, step])
+            states[live] = _convolve_stack(states[live], atoms[pick[live]], balls[live, step])
             zero[live] = ~states[live].any(axis=(1, 2))
     return path
 

@@ -4,10 +4,11 @@ Everything downstream (Bessel series, hypergroup sampling, experiment
 drivers) goes through the small set of primitives defined here, so the
 numerical policy is in one place: Hermiticity is enforced to 1e-12
 relative, positive semidefiniteness to 1e-10 relative with eigenvalue
-clamping at construction, and eigendecomposition is the single primitive
-used for square roots.  These checks run where outside input enters; a
-stack of arrays that are Hermitian and PSD by construction (a walk step)
-takes the same spectral path without them.
+clamping at construction, and one eigh call (_clamped_spectrum) is the
+single primitive used for square roots.  These checks run where outside
+input enters; a stack of arrays that are Hermitian and PSD by construction
+(a walk step) takes the same spectral path without them, in the stack's
+own dtype, and psd_sqrt is that path on a stack of one.
 """
 
 from __future__ import annotations
@@ -93,16 +94,10 @@ def _require_field(params: StructureParams, a) -> None:
         raise DomainError("a matrix with a nonzero imaginary part needs the complex field, d=2")
 
 
-def _imag_free(a: np.ndarray):
-    """Per matrix of a complex (..., q, q) array: is every imaginary part
-    exactly zero?"""
-    return np.max(np.abs(a.imag), axis=(-2, -1)) == 0.0
-
-
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
     """a, one matrix or a stack, or its real part when every imaginary part
     of every matrix is exactly zero."""
-    if np.iscomplexobj(a) and _imag_free(a).all():
+    if np.iscomplexobj(a) and not np.any(a.imag):
         return a.real
     return a
 
@@ -115,12 +110,11 @@ def _clamped_spectrum(h: np.ndarray):
     return w[..., 0], np.maximum(w, 0.0)[..., ::-1].copy(), v[..., ::-1].copy()
 
 
-def _rebuild(eigs: np.ndarray, vecs: np.ndarray):
-    """(eigs clamped at zero, exact Hermitian part of vecs diag(eigs) vecs*)
-    for one or a stack of eigendecompositions."""
-    e = np.maximum(eigs, 0.0)
-    a = (vecs * e[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return e, (a + a.conj().swapaxes(-1, -2)) / 2.0
+def _rebuild(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The exact Hermitian part of vecs diag(eigs) vecs* for one or a stack
+    of eigendecompositions with nonnegative eigs."""
+    a = (vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 class HermitianMatrix:
@@ -168,10 +162,10 @@ class ConeMatrix(HermitianMatrix):
     Eigenvalues are computed once at construction, negatives within
     tolerance are clamped to zero and the array is rebuilt from the
     clamped spectrum, so the stored matrix is PSD exactly (up to the
-    reconstruction rounding).
+    reconstruction rounding).  Only the eigenvalues are kept.
     """
 
-    __slots__ = ("eigs", "_vecs")
+    __slots__ = ("eigs",)
 
     def __init__(self, array):
         super().__init__(array)
@@ -182,19 +176,8 @@ class ConeMatrix(HermitianMatrix):
                 f"below -{PSD_TOL:.0e} relative tolerance"
             )
         if low < 0.0:
-            object.__setattr__(self, "array", ConeMatrix._from_eigh(eigs, vecs).array)
+            object.__setattr__(self, "array", _real_if_exact(_rebuild(eigs, vecs)))
         object.__setattr__(self, "eigs", eigs)
-        object.__setattr__(self, "_vecs", vecs)
-
-    @classmethod
-    def _from_eigh(cls, eigs_desc: np.ndarray, vecs: np.ndarray) -> "ConeMatrix":
-        """Build directly from a known eigendecomposition, unchecked."""
-        e, a = _rebuild(np.asarray(eigs_desc, dtype=float), vecs)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "array", _real_if_exact(a))
-        object.__setattr__(obj, "eigs", e)
-        object.__setattr__(obj, "_vecs", vecs.copy())
-        return obj
 
     def eigenvalues(self) -> np.ndarray:
         return self.eigs
@@ -204,37 +187,22 @@ class ConeMatrix(HermitianMatrix):
 
 
 def psd_sqrt(a) -> ConeMatrix:
-    """Unique PSD square root of a PSD matrix."""
+    """Unique PSD square root of a PSD matrix: the validated ConeMatrix of
+    _psd_sqrt_stack on the stack of one that holds a's validated array."""
     c = a if isinstance(a, ConeMatrix) else ConeMatrix(a)
-    return ConeMatrix._from_eigh(np.sqrt(c.eigs), c._vecs)
+    return ConeMatrix(_psd_sqrt_stack(c.array[None])[0])
 
 
 def _psd_sqrt_stack(m: np.ndarray) -> np.ndarray:
-    """psd_sqrt(ConeMatrix(m[i])).array for each matrix of a stack (n, q, q)
-    that is finite, exactly Hermitian and PSD up to rounding by construction,
-    so the checks are skipped: one eigh, a clamp, a square root and a
-    rebuild, stacked in an array of m's dtype.
-
-    Whether a complex matrix counts as real is decided per matrix before
-    eigh, because real and complex inputs take different LAPACK routines
-    (one eigh for each kind the stack holds), and a root with no imaginary part gets +0.0 imaginary parts, as the
-    real array of the one-matrix path would: the same bits as that path.
+    """The PSD square root of each matrix of a stack (n, q, q) that is
+    finite, exactly Hermitian and PSD up to rounding by construction, so
+    the checks are skipped: one eigh, a clamp, a square root and a
+    rebuild, in m's dtype.  A complex-typed real matrix takes the complex
+    routine, so its root matches the root of its real part only to
+    rounding (at q = 1 bit for bit).
     """
-    def roots(h):
-        _, eigs, vecs = _clamped_spectrum(h)
-        return _rebuild(np.sqrt(eigs), vecs)[1]
-
-    if not np.iscomplexobj(m):
-        return roots(m)
-    out = np.empty_like(m)
-    real = _imag_free(m)
-    if real.any():
-        out[real] = roots(m.real[real])
-    if not real.all():
-        a = roots(m[~real])
-        a.imag[_imag_free(a)] = 0.0
-        out[~real] = a
-    return out
+    _, eigs, vecs = _clamped_spectrum(m)
+    return _rebuild(np.sqrt(eigs), vecs)
 
 
 def _haar_batch(p: int, d: int, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -322,6 +322,10 @@ def test_malformed_config_list_exits_two(tmp_path, capsys, field):
         (["dunkl", "--q", "2", "--eta", "0.8,0.4,0.2"], "eta [0.8, 0.4, 0.2] needs exactly q=2"),
         # failed in the schedule as "k starts at 1", naming its internal variable
         (["lln", "--grid", "0"], "walk lengths must be at least 1, got 0.0"),
+        # failed inside limits; the floor of 1 is walk's
+        (["lln", "--grid", "2", "--replicates", "1"], "lln needs replicates >= 2, got 1"),
+        (["ldp", "--atoms", "0;1", "--weights", "0.5,0.5", "--replicates", "1"],
+         "ldp needs replicates >= 2, got 1"),
     ],
 )
 def test_out_of_range_value_exits_two(tmp_path, capsys, argv, message):

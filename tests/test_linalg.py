@@ -108,10 +108,23 @@ def test_psd_sqrt_squares_back():
     assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])).array, np.diag([2.0, 3.0]))
 
 
+def test_psd_sqrt_is_the_stacked_root_of_one_matrix():
+    rng = np.random.default_rng(9)
+    for q in (1, 2, 3):
+        g = rng.standard_normal((q, q))
+        z = g + 1j * rng.standard_normal((q, q))
+        for a in (g @ g.T, z @ z.conj().T, (g @ g.T).astype(complex)):
+            c = ConeMatrix(a)
+            root = psd_sqrt(a).array
+            assert root.dtype == c.array.dtype
+            assert np.array_equal(root, _psd_sqrt_stack(c.array[None])[0])
+
+
 def test_stacked_square_root_matches_one_matrix_path():
-    # one stack mixing complex matrices and complex-typed real ones: each
-    # goes to the LAPACK routine of its own kind and gets the bits of
-    # psd_sqrt(ConeMatrix(m)), and a real root reads +0.0 imaginary parts
+    # one stack mixing complex matrices and complex-typed real ones: every
+    # root is the root of a stack of one in the stack's dtype, a complex
+    # root is psd_sqrt's, and a complex-typed real root is real and matches
+    # the real routine's root to rounding
     rng = np.random.default_rng(7)
     for q in (1, 2, 3):
         stack = []
@@ -123,20 +136,24 @@ def test_stacked_square_root_matches_one_matrix_path():
         roots = _psd_sqrt_stack(stack)
         assert roots.shape == stack.shape and roots.dtype == stack.dtype
         for m, got in zip(stack, roots):
-            want = psd_sqrt(ConeMatrix(m))
-            assert np.array_equal(got, want.array)
-            if not np.iscomplexobj(want.array):
-                assert not np.any(np.signbit(got.imag))
+            assert np.array_equal(got, _psd_sqrt_stack(m[None])[0])
+            want = psd_sqrt(ConeMatrix(m)).array
+            if np.iscomplexobj(want):
+                assert np.array_equal(got, want)
+            else:
+                assert not np.any(got.imag)
+                assert np.max(np.abs(got.real - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("imag", [1.0, 0.0], ids=["no-real", "no-complex"])
+@pytest.mark.parametrize("imag", [[1.0], [0.0], [1.0, 0.0]], ids=["no-real", "no-complex", "mixed"])
 def test_stacked_square_root_of_one_kind_makes_one_eigh(monkeypatch, imag):
-    # a complex stack whose matrices are all of one kind makes no eigh call
-    # on the empty other kind, and keeps the one-matrix path's bits
+    # a complex stack makes one eigh call, whatever kinds of matrix it
+    # holds, and gives each matrix the bits of a stack of one
     import conebessel.linalg as linalg
 
     rng = np.random.default_rng(8)
-    g = rng.standard_normal((4, 2, 2)) + 1j * imag * rng.standard_normal((4, 2, 2))
+    parts = np.resize(imag, 4)[:, None, None]
+    g = rng.standard_normal((4, 2, 2)) + 1j * parts * rng.standard_normal((4, 2, 2))
     stack = g @ g.conj().swapaxes(1, 2)
     stack = (stack + stack.conj().swapaxes(1, 2)) / 2.0
     calls = []
@@ -146,7 +163,7 @@ def test_stacked_square_root_of_one_kind_makes_one_eigh(monkeypatch, imag):
     monkeypatch.undo()
     assert calls == [(4, 2, 2)]
     for m, got in zip(stack, roots):
-        assert np.array_equal(got, psd_sqrt(ConeMatrix(m)).array)
+        assert np.array_equal(got, _psd_sqrt_stack(m[None])[0])
 
 
 @pytest.mark.parametrize("d", (1, 2))

@@ -94,6 +94,27 @@ def test_only_the_cli_knows_the_run_file_format():
                for node in seeds.body if isinstance(node, ast.Assign) for target in node.targets)
 
 
+def test_eigh_is_called_in_one_place():
+    # the linalg docstring names one eigh call as the single primitive of
+    # every square root; a second call site would be a second root path
+    sites = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name == "eigh":
+                    sites.append((module, where, ast.unparse(child.func)))
+            if isinstance(child, ast.ImportFrom):
+                assert "eigh" not in [alias.name for alias in child.names], module
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else where)
+
+    for source in sorted((ROOT / "src" / "conebessel").glob("*.py")):
+        visit(ast.parse(source.read_text(encoding="utf-8")), source.stem, None)
+    assert sites == [("linalg", "_clamped_spectrum", "np.linalg.eigh")]
+
+
 def test_every_stream_version_is_documented():
     # the seeds docstring says what each version changed; a version that
     # lands without its entry would leave old results unexplained
